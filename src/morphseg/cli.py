@@ -6,6 +6,7 @@ empty corpora and the like).
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import random
@@ -200,24 +201,51 @@ def _segment_with(model, word, rng=None):
 
 
 def _read_words(path, lowercase):
+    """The stripped non-blank lines of a word list; tokens of a type share one string."""
+    kept = {}
+    words = []
     with open(path, encoding="utf-8") as f:
-        words = [line.strip() for line in f]
-    words = [w for w in words if w]
-    return [w.lower() for w in words] if lowercase else words
+        for line in f:
+            word = line.strip()
+            if word:
+                if lowercase:
+                    word = word.lower()
+                words.append(kept.setdefault(word, word))
+    return words
+
+
+def _segment_records(model, words):
+    """One output record per word, in input order, made as they are consumed.
+
+    A seq-ml model is frozen, so each word type is segmented once. A rec-mdl
+    model adapts to unseen words in input order, so every token is traced.
+    """
+    frozen = isinstance(model, MorphStats)
+    memo = {}
+    for word in words:
+        record = memo.get(word)
+        if record is None:
+            record = "%s\t%s" % (word, " ".join(_segment_with(model, word)))
+            if frozen:
+                memo[word] = record
+        yield record
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        yield f
 
 
 def cmd_segment(args):
     model = _load_any_model(args.model)
     words = _read_words(args.words, not args.no_lowercase)
-    lines = [" ".join([io.SEG_FORMAT, io.VERSION])]
-    for word in words:
-        lines.append("%s\t%s" % (word, " ".join(_segment_with(model, word))))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as f:
+        io.write_records(f, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
     return 0
 
 
@@ -260,12 +288,8 @@ def cmd_eval(args):
         "unseen_pair_pct": result.unseen_pair_pct,
         "max_distance": table.max_distance,
     }
-    line = json.dumps(record, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(line)
-    else:
-        sys.stdout.write(line)
+    with _output(args.out) as f:
+        f.write(json.dumps(record, sort_keys=True) + "\n")
     if args.dump_alignments:
         with open(args.dump_alignments, "w", encoding="utf-8", newline="\n") as f:
             for word in sorted(result.alignments):
@@ -400,6 +424,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UnicodeDecodeError as exc:  # a ValueError, but unreadable input
+        print("morphseg: error: input is not valid UTF-8: %s" % exc, file=sys.stderr)
+        return EXIT_DATA
     except (UsageError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print("morphseg: error: %s" % exc, file=sys.stderr)

@@ -8,7 +8,7 @@ import collections
 import dataclasses
 import logging
 
-from .errors import EmptyCorpusError, CorpusSizeError, MorphsegError
+from .errors import EmptyCorpusError, CorpusSizeError
 
 _logger = logging.getLogger(__name__)
 
@@ -63,16 +63,23 @@ def load_corpus(lines, config=None):
     """
     config = config or PreprocessConfig()
     alphabet = config.alphabet
+    # type -> the one string its tokens share, or None if the type is dropped;
+    # the alphabet check runs once per type
+    kept = {}
     tokens = []
     dropped = 0
     for line in lines:
         if config.lowercase:
             line = line.lower()
         for token in line.split():
-            if set(token) <= alphabet:
-                tokens.append(token)
-            else:
+            try:
+                token = kept[token]
+            except KeyError:
+                token = kept[token] = token if set(token) <= alphabet else None
+            if token is None:
                 dropped += 1
+            else:
+                tokens.append(token)
     if dropped:
         _logger.info("dropped %d tokens with out-of-alphabet characters", dropped)
     if not tokens:
@@ -81,12 +88,9 @@ def load_corpus(lines, config=None):
 
 
 def read_corpus(path, config=None):
-    """load_corpus over a UTF-8 text file."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return load_corpus(f, config)
-    except UnicodeDecodeError as exc:
-        raise MorphsegError("%s is not valid UTF-8: %s" % (path, exc)) from exc
+    """load_corpus over a UTF-8 text file; other bytes raise UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as f:
+        return load_corpus(f, config)
 
 
 def split_corpus(corpus, n_train, n_test):

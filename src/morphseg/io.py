@@ -29,9 +29,14 @@ VERSION = "v1"
 
 def _write(path, header_parts, records):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(" ".join(header_parts) + "\n")
-        for record in records:
-            f.write(record + "\n")
+        write_records(f, header_parts, records)
+
+
+def write_records(f, header_parts, records):
+    """Write the header line, then one line per record as records yields it."""
+    f.write(" ".join(header_parts) + "\n")
+    for record in records:
+        f.write(record + "\n")
 
 
 def _read(path, expected_format):

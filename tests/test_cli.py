@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 
 import pytest
 
-from morphseg import io, synth
+from morphseg import cli, io, ml, synth
 from morphseg.cli import build_parser, main
+from morphseg.errors import UnsegmentableError
 
 
 @pytest.fixture
@@ -177,6 +179,79 @@ def test_segment_with_ml_model_keeps_uncoverable_words_whole(workdir, capsys):
     assert "zzzq\tzzzq" in out
 
 
+def _segment_body(capsys, model, words):
+    assert main(["segment", "--model", str(model), "--words", str(words)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "morphseg-seg v1" and lines[-1] == ""
+    return lines[1:-1]
+
+
+# repeats, a case variant, unknown words and an uncoverable one, unsorted
+_SEGMENT_WORDS = [
+    "times", "zzzq", "walked", "untrainedword", "Times", "times", "zzzq",
+    "wordsmithing", "untrainedword", "walked", "times",
+]
+
+
+def test_segment_with_ml_model_segments_each_type_once(workdir, capsys, caplog, monkeypatch):
+    model = workdir / "seq.model"
+    _train(workdir, "seq-ml", model, ["--iterations", "2"])
+    words = workdir / "words.txt"
+    words.write_text("\n".join(_SEGMENT_WORDS) + "\n", encoding="utf-8")
+    stats = io.load_ml_model(model)
+    expected = []
+    uncoverable = set()
+    for word in (w.lower() for w in _SEGMENT_WORDS):
+        try:
+            morphs, _ = ml.viterbi_segment(word, stats)
+        except UnsegmentableError:
+            morphs = [word]
+            uncoverable.add(word)
+        expected.append("%s\t%s" % (word, " ".join(morphs)))
+    calls = []
+    viterbi_segment = ml.viterbi_segment
+
+    def counted(word, stats):
+        calls.append(word)
+        return viterbi_segment(word, stats)
+
+    monkeypatch.setattr(ml, "viterbi_segment", counted)
+    with caplog.at_level(logging.WARNING):
+        assert _segment_body(capsys, model, words) == expected
+    assert sorted(calls) == sorted({w.lower() for w in _SEGMENT_WORDS})
+    assert "zzzq" in uncoverable
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert sorted(warnings) == ["no known morphs cover %r; kept whole" % w for w in sorted(uncoverable)]
+
+
+def test_segment_with_rec_mdl_model_adapts_in_input_order(workdir, capsys):
+    model = workdir / "rec.model"
+    _train(workdir, "rec-mdl", model, ["--dream-interval", "400"])
+    words = workdir / "words.txt"
+    words.write_text("\n".join(_SEGMENT_WORDS) + "\n", encoding="utf-8")
+    store = io.load_mdl_model(model)
+    expected = [
+        "%s\t%s" % (word, " ".join(cli._segment_with(store, word)))
+        for word in (w.lower() for w in _SEGMENT_WORDS)
+    ]
+    assert _segment_body(capsys, model, words) == expected
+
+
+@pytest.mark.parametrize("method", ["rec-mdl", "seq-ml"])
+def test_segment_out_file_equals_stdout(workdir, capsys, method):
+    model = workdir / "model"
+    _train(workdir, method, model, ["--iterations", "2"] if method == "seq-ml" else [])
+    words = workdir / "words.txt"
+    words.write_text("\n".join(_SEGMENT_WORDS) + "\n", encoding="utf-8")
+    out_path = workdir / "seg.tsv"
+    args = ["segment", "--model", str(model), "--words", str(words)]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert main(args + ["--out", str(out_path)]) == 0
+    assert out_path.read_text(encoding="utf-8") == stdout
+    assert stdout.count("\n") == len(_SEGMENT_WORDS) + 1
+
+
 def test_segment_rejects_non_model_files(workdir):
     seg_file = workdir / "not_a_model.tsv"
     io.save_segmentation({"a": ["a"]}, seg_file)
@@ -281,6 +356,27 @@ def test_eval_missing_file_is_a_data_error(tmp_path):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("bad_option", ["--words", "--model", "--gold"])
+def test_non_utf8_input_is_a_data_error(workdir, bad_option):
+    model = workdir / "seq.model"
+    _train(workdir, "seq-ml", model, ["--iterations", "1"])
+    words = workdir / "words.txt"
+    words.write_text("times\n", encoding="utf-8")
+    seg_path, gold_path = eval_fixture(workdir)
+    bad = workdir / "bad.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    paths = {"--model": model, "--words": words, "--gold": gold_path, bad_option: bad}
+    out_path = workdir / "out.tsv"
+    if bad_option == "--gold":
+        argv = ["eval", "--train-seg", str(seg_path), "--test-seg", str(seg_path)]
+        argv += ["--gold", str(paths["--gold"])]
+    else:
+        argv = ["segment", "--model", str(paths["--model"]), "--words", str(paths["--words"])]
+        argv += ["--out", str(out_path)]
+    assert main(argv) == 3
+    assert not out_path.exists()
 
 
 def test_eval_with_count_files_weights_tokens(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import collections
+import logging
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morphseg.corpus import (
     ALPHABETS,
@@ -10,7 +13,7 @@ from morphseg.corpus import (
     split_corpus,
     truncate,
 )
-from morphseg.errors import CorpusSizeError, EmptyCorpusError, MorphsegError
+from morphseg.errors import CorpusSizeError, EmptyCorpusError
 
 
 def test_english_preset_keeps_clitics_and_hyphens():
@@ -99,7 +102,7 @@ def test_read_corpus_roundtrip(tmp_path):
 def test_read_corpus_rejects_bad_encoding(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"caf\xe9 au lait")
-    with pytest.raises(MorphsegError):
+    with pytest.raises(UnicodeDecodeError):
         read_corpus(path)
 
 
@@ -125,3 +128,39 @@ def test_split_preserves_order_and_counts(tokens):
     for t, n in test.type_counts.items():
         merged[t] = merged.get(t, 0) + n
     assert merged == corpus.type_counts
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.lists(st.text(alphabet="abAB9-", min_size=1, max_size=3), max_size=8),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_load_corpus_shares_one_string_per_type(caplog, lines, lowercase):
+    lines = [" ".join(words) for words in lines]
+    config = PreprocessConfig(lowercase=lowercase)
+    reference = []
+    dropped = 0
+    for line in lines:
+        for token in (line.lower() if lowercase else line).split():
+            if set(token) <= config.alphabet:
+                reference.append(token)
+            else:
+                dropped += 1
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="morphseg.corpus"):
+        try:
+            corpus = load_corpus(lines, config)
+        except EmptyCorpusError:
+            assert not reference
+            return
+    assert list(corpus.tokens) == reference
+    assert corpus.type_counts == dict(collections.Counter(reference))
+    assert len({id(t) for t in corpus.tokens}) == len(corpus.type_counts)
+    logged = [r.getMessage() for r in caplog.records if r.name == "morphseg.corpus"]
+    if dropped:
+        assert logged == ["dropped %d tokens with out-of-alphabet characters" % dropped]
+    else:
+        assert logged == []
