@@ -94,8 +94,8 @@ class DistanceTable:
         return (morph, label) in self.distances
 
 
-def _align_grid(m, n, cell, better):
-    """Shared DP over the m x n alignment grid.
+def _align_grid(m, n, cell):
+    """Minimum-score DP over the m x n alignment grid.
 
     cell(i, j) is the score of pairing morph i with label j; every cell on
     the path is charged. Moves are diagonal, down (many-to-one) and right
@@ -116,10 +116,10 @@ def _align_grid(m, n, cell, better):
             if i > 0 and j > 0:
                 best = score[i - 1][j - 1]
                 mv = 1
-            if i > 0 and better(score[i - 1][j], best):
+            if i > 0 and (best is None or score[i - 1][j] < best):
                 best = score[i - 1][j]
                 mv = 2
-            if j > 0 and better(row[j - 1], best):
+            if j > 0 and (best is None or row[j - 1] < best):
                 best = row[j - 1]
                 mv = 3
             row[j] = here + best
@@ -157,10 +157,7 @@ def align_word(morphs, labels, table):
     def cell(i, j):
         return table.get(morphs[i], labels[j])
 
-    def better(cand, cur):
-        return cur is None or cand < cur
-
-    score, move = _align_grid(len(morphs), len(labels), cell, better)
+    score, move = _align_grid(len(morphs), len(labels), cell)
     pairs = _backtrace(move, len(morphs), len(labels))
     return pairs, score[-1][-1]
 
@@ -186,7 +183,9 @@ def _string_match_align(morphs, entry):
 
     The pairing score of a morph with a base-form label is the length of
     their longest common substring (case-insensitive) over the longer
-    length; pairings with tag labels score zero.
+    length; pairings with tag labels score zero. The grid minimizes the
+    negated scores, which picks the same path: IEEE rounding is symmetric
+    in sign, so every sum and comparison is exactly mirrored.
     """
     labels = entry.labels
     folded = [m.casefold() for m in morphs]
@@ -195,12 +194,9 @@ def _string_match_align(morphs, entry):
         if j >= entry.base_count:
             return 0.0
         a, b = folded[i], labels[j].casefold()
-        return _common_substring_len(a, b) / max(len(a), len(b))
+        return -_common_substring_len(a, b) / max(len(a), len(b))
 
-    def better(cand, cur):
-        return cur is None or cand > cur
-
-    _, move = _align_grid(len(morphs), len(labels), cell, better)
+    _, move = _align_grid(len(morphs), len(labels), cell)
     return _backtrace(move, len(morphs), len(labels))
 
 
@@ -261,6 +257,8 @@ def em_align(
     distance_log, if given, is appended with the total distance after each
     realignment.
     """
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
     words = []
     for word in segmented:
         if word in gold:
@@ -274,7 +272,6 @@ def em_align(
             raise MorphsegError("no token count for %r" % (word,))
 
     alignments = {w: _string_match_align(segmented[w], gold[w]) for w in words}
-    table = None
     prev_total = None
     for _ in range(max_iters):
         pair_counts, morph_counts = _accumulate(
@@ -319,7 +316,9 @@ def score_segmentation(segmented, gold, token_counts, table):
         if entry is None:
             skipped += 1
             continue
-        weight = token_counts[word]
+        weight = token_counts.get(word)
+        if weight is None:
+            raise MorphsegError("no token count for %r" % (word,))
         pairs, bits = align_word(morphs, entry.labels, table)
         alignments[word] = pairs
         total += weight * bits

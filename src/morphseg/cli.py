@@ -137,54 +137,54 @@ def build_parser():
 # -- train ----------------------------------------------------------------
 
 
-def _read_training_corpus(args):
-    config = _preprocess_config(args)
-    corpus = read_corpus(args.corpus, config)
-    if getattr(args, "train_tokens", None):
-        corpus = truncate(corpus, args.train_tokens)
-    return corpus
+def _train_rec_mdl(args, corpus):
+    """rec-mdl trained as the method options say; writes --cost-curve if given."""
+    config = MdlConfig(
+        char_bits=args.char_bits,
+        dream_interval=args.dream_interval,
+        dream_passes=args.dream_passes,
+        seed=args.seed,
+    )
+    curve = [] if args.cost_curve else None
+    store = mdl.train_online(corpus, config, curve=curve)
+    if args.cost_curve:
+        io.write_cost_curve(curve, args.cost_curve)
+    return store
+
+
+def _train_seq_ml(args, corpus):
+    """(segmentation, MorphStats) of seq-ml trained as the method options say."""
+    return ml.train_em(
+        corpus,
+        iterations=args.iterations,
+        rng=random.Random(args.seed),
+        mean_interval=args.interval_mean,
+        use_rejection=not args.no_reject,
+    )
 
 
 def cmd_train(args):
-    corpus = _read_training_corpus(args)
+    pre = _preprocess_config(args)
+    corpus = read_corpus(args.corpus, pre)
+    if args.train_tokens is not None:
+        corpus = truncate(corpus, args.train_tokens)
     if args.method == "rec-mdl":
-        _check_alphabet_codable(_preprocess_config(args), args.char_bits)
-        config = MdlConfig(
-            char_bits=args.char_bits,
-            dream_interval=args.dream_interval,
-            dream_passes=args.dream_passes,
-            seed=args.seed,
-        )
-        curve = [] if args.cost_curve else None
-        store = mdl.train_online(corpus, config, curve=curve)
+        _check_alphabet_codable(pre, args.char_bits)
+        store = _train_rec_mdl(args, corpus)
         io.save_mdl_model(store, args.model)
-        if args.cost_curve:
-            io.write_cost_curve(curve, args.cost_curve)
-        _logger.info(
-            "trained on %d tokens: %d morphs, %.1f bits",
-            len(corpus), store.codebook_size(), store.tracked_cost,
-        )
+        morphs, bits = store.codebook_size(), store.tracked_cost
     else:
-        rng = random.Random(args.seed)
-        segmentation, stats = ml.train_em(
-            corpus,
-            iterations=args.iterations,
-            rng=rng,
-            mean_interval=args.interval_mean,
-            use_rejection=not args.no_reject,
-        )
+        _, stats = _train_seq_ml(args, corpus)
         io.save_ml_model(stats, args.model)
-        _logger.info(
-            "trained on %d tokens: %d morphs, %.1f bits",
-            len(corpus), len(stats.counts), stats.corpus_bits(),
-        )
+        morphs, bits = len(stats.counts), stats.corpus_bits()
+    _logger.info("trained on %d tokens: %d morphs, %.1f bits", len(corpus), morphs, bits)
     return 0
 
 
 # -- segment ---------------------------------------------------------------
 
 
-def _segment_with(model, word, rng=None):
+def _segment_with(model, word):
     if isinstance(model, ChunkStore):
         try:
             return model.segment_word(word)
@@ -305,24 +305,14 @@ def cmd_eval(args):
 # -- compare -----------------------------------------------------------------
 
 
-def _segment_types(store, corpus):
-    """Trace every corpus type; unknown types are processed in first."""
-    segmentation = {}
-    for word in corpus.type_counts:
-        segmentation[word] = _segment_with(store, word)
-    return segmentation
+def _segment_types(model, corpus):
+    """Segment every corpus type; a rec-mdl model processes unknown types in first."""
+    return {word: _segment_with(model, word) for word in corpus.type_counts}
 
 
-def _segment_types_ml(stats, corpus):
-    segmentation = {}
-    for word in corpus.type_counts:
-        try:
-            morphs, _ = ml.viterbi_segment(word, stats)
-        except UnsegmentableError:
-            _logger.warning("no known morphs cover %r; kept whole", word)
-            morphs = [word]
-        segmentation[word] = morphs
-    return segmentation
+# the same routine under a second name, so that the seq-ml segmentation can be
+# wrapped (timed, counted) apart from the rec-mdl one
+_segment_types_ml = _segment_types
 
 
 def cmd_compare(args):
@@ -341,33 +331,17 @@ def cmd_compare(args):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     # method 1: online recursive MDL
-    config = MdlConfig(
-        char_bits=args.char_bits,
-        dream_interval=args.dream_interval,
-        dream_passes=args.dream_passes,
-        seed=args.seed,
-    )
-    curve = [] if args.cost_curve else None
     t0 = time.perf_counter()
-    store = mdl.train_online(train, config, curve=curve)
+    store = _train_rec_mdl(args, train)
     mdl_time = time.perf_counter() - t0
-    if args.cost_curve:
-        io.write_cost_curve(curve, args.cost_curve)
     if out_dir:
         io.save_mdl_model(store, out_dir / "rec_mdl.model")
     mdl_train_seg = _segment_types(store, train)
     mdl_test_seg = _segment_types(store, test)  # adapts the store to unseen words
 
     # method 2: batch Viterbi EM
-    rng = random.Random(args.seed)
     t0 = time.perf_counter()
-    ml_seg, stats = ml.train_em(
-        train,
-        iterations=args.iterations,
-        rng=rng,
-        mean_interval=args.interval_mean,
-        use_rejection=not args.no_reject,
-    )
+    ml_seg, stats = _train_seq_ml(args, train)
     ml_time = time.perf_counter() - t0
     if out_dir:
         io.save_ml_model(stats, out_dir / "seq_ml.model")

@@ -11,9 +11,8 @@ a file with an unknown format or version fails without partial state.
 """
 
 import logging
-import math
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, MorphsegError
 from .mdl import ChunkStore, Chunk
 from .ml import MorphStats
 from .align import DistanceTable
@@ -65,6 +64,28 @@ def _read(path, expected_format):
     return params, lines[1:]
 
 
+def _parse_counts(path, body, key_name):
+    """key<TAB>count records: keys non-empty and unique, counts at least 1."""
+    counts = {}
+    for lineno, line in enumerate(body, start=2):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ModelFormatError("%s line %d: expected 2 fields" % (path, lineno))
+        key, count_s = fields
+        try:
+            count = int(count_s)
+        except ValueError:
+            raise ModelFormatError("%s line %d: non-integer count" % (path, lineno)) from None
+        if not key or count < 1:
+            raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
+        if key in counts:
+            raise ModelFormatError(
+                "%s line %d: duplicate %s %r" % (path, lineno, key_name, key)
+            )
+        counts[key] = count
+    return counts
+
+
 def sniff_format(path):
     with open(path, encoding="utf-8") as f:
         first = f.readline()
@@ -88,7 +109,7 @@ def load_mdl_model(path):
         char_bits = int(params["char_bits"])
     except (KeyError, ValueError):
         raise ModelFormatError("%s: missing or bad char_bits" % (path,)) from None
-    store = ChunkStore(char_bits)
+    chunks = {}
     for lineno, line in enumerate(body, start=2):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -100,41 +121,13 @@ def load_mdl_model(path):
             raise ModelFormatError("%s line %d: non-integer field" % (path, lineno)) from None
         if not text or count < 1 or not 0 <= split < len(text):
             raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
-        if text in store.chunks:
+        if text in chunks:
             raise ModelFormatError("%s line %d: duplicate chunk %r" % (path, lineno, text))
-        store.chunks[text] = Chunk(text, count, split)
-    _rebuild_store_state(store, path)
-    return store
-
-
-def _rebuild_store_state(store, path):
-    """Derive trackers and top-level word tallies from loaded chunks.
-
-    A word's own insertions are its count minus the flow from its parents,
-    which makes loaded models fully trainable again.
-    """
-    inflow = {}
-    for chunk in store.chunks.values():
-        if chunk.split:
-            for part in (chunk.text[: chunk.split], chunk.text[chunk.split :]):
-                if part not in store.chunks:
-                    raise ModelFormatError(
-                        "%s: chunk %r references missing part %r" % (path, chunk.text, part)
-                    )
-                inflow[part] = inflow.get(part, 0) + chunk.count
-        else:
-            store._leaf_tokens += chunk.count
-            store._leaf_chars += len(chunk.text)
-            if chunk.count > 1:
-                store._plogp.add(chunk.count * math.log2(chunk.count))
-    for text, chunk in store.chunks.items():
-        own = chunk.count - inflow.get(text, 0)
-        if own < 0:
-            raise ModelFormatError(
-                "%s: count of %r is below the flow from its parents" % (path, text)
-            )
-        if own:
-            store.word_counts[text] = own
+        chunks[text] = Chunk(text, count, split)
+    try:
+        return ChunkStore.from_chunks(chunks, char_bits)
+    except MorphsegError as exc:
+        raise ModelFormatError("%s: %s" % (path, exc)) from None
 
 
 def save_ml_model(stats, path):
@@ -148,21 +141,7 @@ def load_ml_model(path):
         total = int(params["total"])
     except (KeyError, ValueError):
         raise ModelFormatError("%s: missing or bad total" % (path,)) from None
-    counts = {}
-    for lineno, line in enumerate(body, start=2):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ModelFormatError("%s line %d: expected 2 fields" % (path, lineno))
-        morph, count_s = fields
-        try:
-            count = int(count_s)
-        except ValueError:
-            raise ModelFormatError("%s line %d: non-integer count" % (path, lineno)) from None
-        if not morph or count < 1:
-            raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
-        if morph in counts:
-            raise ModelFormatError("%s line %d: duplicate morph %r" % (path, lineno, morph))
-        counts[morph] = count
+    counts = _parse_counts(path, body, "morph")
     if sum(counts.values()) != total:
         raise ModelFormatError("%s: counts sum to %d, header says %d" % (path, sum(counts.values()), total))
     # per-type usage is not part of the interchange format; loaded models
@@ -243,16 +222,7 @@ def save_word_counts(type_counts, path):
 
 def load_word_counts(path):
     _, body = _read(path, "morphseg-counts")
-    counts = {}
-    for lineno, line in enumerate(body, start=2):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ModelFormatError("%s line %d: expected 2 fields" % (path, lineno))
-        try:
-            counts[fields[0]] = int(fields[1])
-        except ValueError:
-            raise ModelFormatError("%s line %d: non-integer count" % (path, lineno)) from None
-    return counts
+    return _parse_counts(path, body, "word")
 
 
 def write_cost_curve(curve, path):

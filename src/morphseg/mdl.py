@@ -26,6 +26,8 @@ _logger = logging.getLogger(__name__)
 _log2 = math.log2
 
 DEFAULT_SEED = 42
+DREAM_THRESHOLD = 1e-4  # stop extra dreaming passes below this relative gain
+CURVE_INTERVAL = 2000  # tokens between cost-curve checkpoints
 
 
 @dataclasses.dataclass(slots=True)
@@ -39,8 +41,22 @@ class Chunk:
 
 @dataclasses.dataclass
 class MdlCost:
+    """The two-part cost both methods are compared under."""
+
     corpus_bits: float
     codebook_bits: float
+
+    @classmethod
+    def of(cls, counts, char_bits):
+        """Cost of a codebook given as morph -> token count.
+
+        Corpus bits code each morph token by its maximum-likelihood
+        probability; codebook bits spell out each distinct morph at
+        char_bits per character.
+        """
+        n = sum(counts.values())
+        corpus = math.fsum(c * _log2(n / c) for c in counts.values())
+        return cls(corpus, float(char_bits * sum(map(len, counts))))
 
     @property
     def total_bits(self):
@@ -54,8 +70,6 @@ class MdlConfig:
     char_bits: int = 5
     dream_interval: int = 20000  # tokens between dreaming events; 0 disables
     dream_passes: int = 1
-    dream_threshold: float = 1e-4  # stop extra passes below this relative gain
-    curve_interval: int = 2000  # tokens between cost-curve checkpoints
     seed: int = DEFAULT_SEED
 
 
@@ -116,13 +130,7 @@ class ChunkStore:
 
     def total_cost(self):
         """Recompute the cost from the stored chunks, ignoring the tracker."""
-        counts = [c.count for c in self.chunks.values() if c.split == 0]
-        n = sum(counts)
-        if n == 0:
-            return MdlCost(0.0, 0.0)
-        corpus = math.fsum(c * _log2(n / c) for c in counts)
-        chars = sum(len(c.text) for c in self.chunks.values() if c.split == 0)
-        return MdlCost(corpus, float(self.char_bits * chars))
+        return MdlCost.of(dict(self.iter_morphs()), self.char_bits)
 
     def codebook_size(self):
         return sum(1 for c in self.chunks.values() if c.split == 0)
@@ -249,19 +257,17 @@ class ChunkStore:
                 stack.append(t[best_i:])
                 stack.append(t[:best_i])
 
-    def _settle_unsplit(self, word, increment):
+    def _settle_unsplit(self, word):
         """Detach any split under a word and leave it as a leaf chunk,
-        raising its count by increment."""
+        raising its count by one."""
         node = self.chunks.get(word)
         if node is None:
-            self.chunks[word] = Chunk(word, increment)
-            self._leaf_tokens += increment
+            self.chunks[word] = Chunk(word, 1)
+            self._leaf_tokens += 1
             self._leaf_chars += len(word)
-            if increment > 1:
-                self._plogp.add(increment * _log2(increment))
             return
         c0 = node.count
-        c1 = c0 + increment
+        c1 = c0 + 1
         if node.split:
             s = node.split
             node.split = 0
@@ -270,34 +276,30 @@ class ChunkStore:
             node.count = c1
             self._leaf_tokens += c1
             self._leaf_chars += len(word)
-            if c1 > 1:
-                self._plogp.add(c1 * _log2(c1))
-        elif increment:
+        else:
             node.count = c1
-            self._leaf_tokens += increment
+            self._leaf_tokens += 1
             if c0 > 1:
                 self._plogp.add(-(c0 * _log2(c0)))
-            if c1 > 1:
-                self._plogp.add(c1 * _log2(c1))
+        self._plogp.add(c1 * _log2(c1))
 
     def process_word(self, word):
         """Feed one word token to the model and re-derive its splits."""
         if not word:
             raise ValueError("cannot process an empty word")
-        self._settle_unsplit(word, 1)
+        self._settle_unsplit(word)
         self.word_counts[word] = self.word_counts.get(word, 0) + 1
         self.recursive_split(word)
 
     def _reprocess(self, word):
         """process_word semantics without a count increment (dreaming)."""
-        self._settle_unsplit(word, 0)
         self.recursive_split(word)
 
-    def dream(self, rng=None, max_passes=1, threshold=1e-4):
+    def dream(self, rng=None, max_passes=1):
         """Reprocess all known words in random order to settle the model.
 
         Runs up to max_passes full passes; stops early once a pass improves
-        the total cost by less than the relative threshold.
+        the total cost by less than the relative DREAM_THRESHOLD.
         """
         if not self.word_counts:
             return
@@ -309,7 +311,7 @@ class ChunkStore:
             for w in words:
                 self._reprocess(w)
             after = self.tracked_cost
-            if before <= 0.0 or before - after < threshold * before:
+            if before <= 0.0 or before - after < DREAM_THRESHOLD * before:
                 break
 
     # -- reading the model ----------------------------------------------
@@ -332,27 +334,62 @@ class ChunkStore:
                 morphs.append(t)
         return morphs
 
-    # -- invariants and copies -------------------------------------------
+    # -- invariants, rebuilding and copies -------------------------------
+
+    def _inflow(self):
+        """Count each chunk receives from the splits of its parents."""
+        chunks = self.chunks
+        inflow = {}
+        for chunk in chunks.values():
+            s = chunk.split
+            if s:
+                for part in (chunk.text[:s], chunk.text[s:]):
+                    if part not in chunks:
+                        raise MorphsegError(
+                            "chunk %r references missing part %r" % (chunk.text, part)
+                        )
+                    inflow[part] = inflow.get(part, 0) + chunk.count
+        return inflow
+
+    @classmethod
+    def from_chunks(cls, chunks, char_bits):
+        """A store holding chunks (text -> Chunk), its trackers and
+        top-level word tallies derived from them.
+
+        A word's own insertions are its count minus the flow from its
+        parents, which makes a store read back from its chunks fully
+        trainable again. Raises MorphsegError if the chunks do not form
+        a consistent flow.
+        """
+        store = cls(char_bits)
+        store.chunks = chunks
+        inflow = store._inflow()
+        for text, chunk in chunks.items():
+            c = chunk.count
+            if chunk.split == 0:
+                store._leaf_tokens += c
+                store._leaf_chars += len(text)
+                if c > 1:
+                    store._plogp.add(c * _log2(c))
+            own = c - inflow.get(text, 0)
+            if own < 0:
+                raise MorphsegError("count of %r is below the flow from its parents" % (text,))
+            if own:
+                store.word_counts[text] = own
+        return store
 
     def check_integrity(self, cost_rel_tol=1e-9):
         """Verify the count flow, leaf bookkeeping, and tracked cost.
 
         Raises MorphsegError on the first violation found.
         """
-        inflow = {}
         for chunk in self.chunks.values():
             if chunk.count <= 0:
                 raise MorphsegError("zero-count chunk retained: %r" % chunk.text)
             s = chunk.split
-            if s:
-                if not 0 < s < len(chunk.text):
-                    raise MorphsegError("bad split %d in %r" % (s, chunk.text))
-                for part in (chunk.text[:s], chunk.text[s:]):
-                    if part not in self.chunks:
-                        raise MorphsegError(
-                            "missing part %r of %r" % (part, chunk.text)
-                        )
-                    inflow[part] = inflow.get(part, 0) + chunk.count
+            if s and not 0 < s < len(chunk.text):
+                raise MorphsegError("bad split %d in %r" % (s, chunk.text))
+        inflow = self._inflow()
         for text, chunk in self.chunks.items():
             expected = self.word_counts.get(text, 0) + inflow.get(text, 0)
             if chunk.count != expected:
@@ -399,8 +436,9 @@ def train_online(corpus, config=None, curve=None, dream_log=None):
     """Feed a corpus through a fresh ChunkStore token by token.
 
     curve, if given, is appended with (tokens_processed, avg_word_cost_bits)
-    checkpoints; dream_log with (tokens_processed, cost_before, cost_after)
-    per dreaming event.
+    checkpoints every CURVE_INTERVAL tokens and after each dreaming event;
+    dream_log with (tokens_processed, cost_before, cost_after) per dreaming
+    event.
     """
     config = config or MdlConfig()
     store = ChunkStore(config.char_bits)
@@ -409,11 +447,11 @@ def train_online(corpus, config=None, curve=None, dream_log=None):
     for token in corpus.tokens:
         store.process_word(token)
         n += 1
-        if curve is not None and config.curve_interval and n % config.curve_interval == 0:
+        if curve is not None and n % CURVE_INTERVAL == 0:
             curve.append((n, store.tracked_cost / n))
         if config.dream_interval and n % config.dream_interval == 0:
             before = store.tracked_cost
-            store.dream(rng, config.dream_passes, config.dream_threshold)
+            store.dream(rng, config.dream_passes)
             after = store.tracked_cost
             _logger.info(
                 "dreaming at %d tokens: %.1f -> %.1f bits", n, before, after

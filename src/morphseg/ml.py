@@ -13,14 +13,15 @@ import dataclasses
 import logging
 import math
 import random
+import sys
 
 from .errors import UnsegmentableError, MorphsegError
+from .mdl import DEFAULT_SEED, MdlCost
 
 _logger = logging.getLogger(__name__)
 
 _log2 = math.log2
 
-DEFAULT_SEED = 42
 DEFAULT_INTERVAL_MEAN = 5.5
 
 
@@ -42,7 +43,9 @@ class MorphStats:
         counts = collections.Counter()
         usage = collections.Counter()
         for word, n in type_counts.items():
-            morphs = segmentation[word]
+            morphs = segmentation.get(word)
+            if morphs is None:
+                raise MorphsegError("segmentation is missing corpus word %r" % (word,))
             for m in morphs:
                 counts[m] += n
             for m in set(morphs):
@@ -51,14 +54,20 @@ class MorphStats:
 
     def corpus_bits(self):
         """sum over morph tokens of -log2 p(morph), p by maximum likelihood."""
-        total = self.total
-        return math.fsum(c * _log2(total / c) for c in self.counts.values())
+        return MdlCost.of(self.counts, 0).corpus_bits
 
 
 def poisson(rng, lam):
-    """One Poisson draw by CDF inversion from the given generator."""
+    """One Poisson draw by CDF inversion from the given generator.
+
+    lam must be positive and small enough (about 708 at most) that
+    exp(-lam) is a normal float; otherwise the inversion loop, or the
+    redraw of zeros in random_segment, never ends.
+    """
+    p = math.exp(-lam) if lam > 0 else 0.0
+    if p < sys.float_info.min:
+        raise ValueError("lambda must be positive with exp(-lambda) a normal float, got %r" % (lam,))
     u = rng.random()
-    p = math.exp(-lam)
     cum = p
     k = 0
     while u > cum:
@@ -145,15 +154,7 @@ def reject(morphs, prev_type_usage):
 
 def ml_cost(segmentation, corpus):
     """Corpus cost in bits of a segmentation under its own ML estimates."""
-    counts = collections.Counter()
-    for word, n in corpus.type_counts.items():
-        morphs = segmentation.get(word)
-        if morphs is None:
-            raise MorphsegError("segmentation is missing corpus word %r" % (word,))
-        for m in morphs:
-            counts[m] += n
-    total = sum(counts.values())
-    return math.fsum(c * _log2(total / c) for c in counts.values())
+    return MorphStats.from_segmentation(segmentation, corpus.type_counts).corpus_bits()
 
 
 def train_em(

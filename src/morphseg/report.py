@@ -9,7 +9,7 @@ flagged with a footnote in formatted output.
 import dataclasses
 import json
 
-from .mdl import ChunkStore
+from .mdl import ChunkStore, MdlCost
 from .ml import MorphStats
 
 ML_FOOTNOTE = (
@@ -66,37 +66,36 @@ class MetricsReport:
         )
 
 
-def build_report(model, method=None, evaluation=None, wall_time=None, char_bits=5):
-    """MetricsReport for a trained ChunkStore or MorphStats."""
+def build_report(model, evaluation=None, wall_time=None, char_bits=5):
+    """MetricsReport for a trained ChunkStore or MorphStats.
+
+    char_bits prices the codebook of a MorphStats; a ChunkStore carries
+    its own.
+    """
     if isinstance(model, ChunkStore):
+        method = "rec-mdl"
         cost = model.total_cost()
-        corpus_bits = cost.corpus_bits
-        codebook_bits = cost.codebook_bits
         morphs = model.codebook_size()
-        footnote = False
-        method = method or "rec-mdl"
     elif isinstance(model, MorphStats):
-        corpus_bits = model.corpus_bits()
-        codebook_bits = float(char_bits * sum(len(m) for m in model.counts))
+        method = "seq-ml"
+        cost = MdlCost.of(model.counts, char_bits)
         morphs = len(model.counts)
-        footnote = True
-        method = method or "seq-ml"
     else:
         raise TypeError("unsupported model type: %r" % type(model).__name__)
-    total = corpus_bits + codebook_bits
+    total = cost.total_bits
     return MetricsReport(
         method=method,
         total_cost_bits=total,
-        corpus_cost_bits=corpus_bits,
-        codebook_cost_bits=codebook_bits,
+        corpus_cost_bits=cost.corpus_bits,
+        codebook_cost_bits=cost.codebook_bits,
         codebook_morphs=morphs,
-        relative_codebook_cost=codebook_bits / total if total else 0.0,
+        relative_codebook_cost=cost.codebook_bits / total if total else 0.0,
         alignment_distance_bits=(
             evaluation.alignment_distance_bits if evaluation else None
         ),
         unseen_pair_pct=evaluation.unseen_pair_pct if evaluation else None,
         wall_time_sec=wall_time,
-        cost_footnote=footnote,
+        cost_footnote=isinstance(model, MorphStats),
     )
 
 

@@ -246,6 +246,12 @@ def test_em_align_requires_token_counts():
         em_align(segmented, gold, counts)
 
 
+def test_em_align_requires_an_iteration():
+    segmented, gold, counts = plural_fixture()
+    with pytest.raises(ValueError, match="iteration"):
+        em_align(segmented, gold, counts, max_iters=0)
+
+
 def test_em_align_training_distance_is_monotone():
     segmented, gold, counts = plural_fixture()
     log = []
@@ -334,6 +340,14 @@ def test_score_segmentation_needs_scorable_words():
     table = DistanceTable({}, 10.0)
     with pytest.raises(MorphsegError):
         score_segmentation({"b": ["b"]}, {}, {"b": 1}, table)
+
+
+def test_score_segmentation_requires_token_counts():
+    segmented, gold, counts = plural_fixture()
+    table = em_align(segmented, gold, counts)
+    del counts["kings"]
+    with pytest.raises(MorphsegError, match="no token count for 'kings'"):
+        score_segmentation(segmented, gold, counts, table)
 
 
 def test_unsplit_words_reach_zero_training_distance():

@@ -113,6 +113,33 @@ def test_train_alphabet_filtering_everything_is_a_data_error(workdir):
     assert code == 3
 
 
+def test_train_zero_token_budget_is_a_data_error(workdir):
+    code = main(
+        [
+            "train", "--method", "rec-mdl",
+            "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"),
+            "--train-tokens", "0",
+        ]
+    )
+    assert code == 3
+    assert not (workdir / "m").exists()
+
+
+@pytest.mark.parametrize("lam", ["0", "-1", "nan", "inf", "1000"])
+def test_train_seq_ml_rejects_unusable_lambda(workdir, lam):
+    code = main(
+        [
+            "train", "--method", "seq-ml",
+            "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"),
+            "--lambda", lam,
+        ]
+    )
+    assert code == 2
+    assert not (workdir / "m").exists()
+
+
 def test_unknown_option_exits_2(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])
@@ -397,6 +424,37 @@ def test_eval_with_count_files_weights_tokens(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     expected = 8 * math.log2(10 / 8) + 2 * math.log2(10 / 2)
     assert record["alignment_distance_bits"] == pytest.approx(expected)
+
+
+def _eval_argv(seg_path, gold_path, *extra):
+    return ["eval", "--train-seg", str(seg_path), "--test-seg", str(seg_path),
+            "--gold", str(gold_path)] + list(extra)
+
+
+def test_eval_rejects_zero_em_iterations(tmp_path):
+    seg_path, gold_path = eval_fixture(tmp_path)
+    assert main(_eval_argv(seg_path, gold_path, "--em-iterations", "0")) == 2
+
+
+def test_eval_test_counts_missing_a_scored_word_is_a_data_error(tmp_path, capsys):
+    seg_path, gold_path = eval_fixture(tmp_path)
+    counts_path = tmp_path / "counts.tsv"
+    io.save_word_counts({"cats": 6, "dogs": 1, "birds": 1}, counts_path)
+    code = main(_eval_argv(seg_path, gold_path, "--test-counts", str(counts_path)))
+    assert code == 3
+    assert "no token count for 'kings'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("records", ["cats\t1\n\t2", "cats\t0", "cats\t-1", "cats\t1\ncats\t2"])
+def test_eval_rejects_invalid_count_files(tmp_path, records):
+    # every scored word has a count; only the invalid records are at fault
+    seg_path, gold_path = eval_fixture(tmp_path)
+    counts_path = tmp_path / "counts.tsv"
+    counts_path.write_text(
+        "morphseg-counts v1\ndogs\t1\nbirds\t1\nkings\t1\n%s\n" % records, encoding="utf-8"
+    )
+    code = main(_eval_argv(seg_path, gold_path, "--train-counts", str(counts_path)))
+    assert code == 3
 
 
 def test_compare_pipeline(workdir, capsys):

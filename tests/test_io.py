@@ -296,6 +296,22 @@ def test_word_counts_rejects_bad_count(tmp_path):
         io.load_word_counts(path)
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (["\t3"], "invalid record"),
+        (["cats\t0"], "invalid record"),
+        (["cats\t-4"], "invalid record"),
+        (["cats\t2", "dogs\t1", "cats\t5"], "line 4: duplicate word 'cats'"),
+    ],
+)
+def test_word_counts_rejects_invalid_records(tmp_path, records, message):
+    path = tmp_path / "c.tsv"
+    _write_lines(path, ["morphseg-counts v1"] + records)
+    with pytest.raises(ModelFormatError, match=message):
+        io.load_word_counts(path)
+
+
 def test_cost_curve_roundtrip(tmp_path):
     path = tmp_path / "curve.csv"
     curve = [(2000, 11.612648), (4000, 10.81), (5000, 10.128027379314801)]

@@ -155,7 +155,7 @@ def test_train_online_curve_and_dream_log():
     corpus = Corpus.from_tokens(tokens)
     curve = []
     dream_log = []
-    config = MdlConfig(dream_interval=2000, curve_interval=2000)
+    config = MdlConfig(dream_interval=2000)
     store = train_online(corpus, config, curve=curve, dream_log=dream_log)
 
     assert [n for n, _, _ in dream_log] == [2000, 4000]
@@ -208,7 +208,7 @@ def test_committed_splits_never_beat_keeping_the_word_whole(words, next_word):
     for w in words:
         store.process_word(w)
     baseline = store.copy()
-    baseline._settle_unsplit(next_word, 1)
+    baseline._settle_unsplit(next_word)
     store.process_word(next_word)
     # the no-split candidate is always on the table, so greedy search can
     # only improve on it

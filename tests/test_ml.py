@@ -34,6 +34,28 @@ def test_poisson_small_lambda_is_mostly_zero():
     assert draws.count(0) > 400
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, 710.0, 744.4, 1000.0])
+def test_poisson_rejects_lambda_without_a_terminating_inversion(lam):
+    # each of these used to loop forever: exp(-lam) is not a normal float,
+    # or every draw is zero and random_segment redraws zeros
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="lambda"):
+        poisson(rng, lam)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="lambda"):
+        random_segment("abcdef", rng, lam)
+
+
+def test_poisson_draws_one_uniform_per_call():
+    rng = random.Random(9)
+    replay = random.Random(9)
+    for lam in (0.05, 5.5, 700.0):
+        poisson(rng, lam)
+        replay.random()
+    assert rng.getstate() == replay.getstate()
+
+
 def test_random_segment_basics():
     rng = random.Random(1)
     word = "susikoirajahti"
@@ -149,6 +171,12 @@ def test_ml_cost():
 def test_train_em_requires_an_iteration(tiny_corpus):
     with pytest.raises(ValueError):
         train_em(tiny_corpus, iterations=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -2.0, math.nan, math.inf, 746.0])
+def test_train_em_rejects_unusable_lambda(tiny_corpus, lam):
+    with pytest.raises(ValueError, match="lambda"):
+        train_em(tiny_corpus, iterations=1, mean_interval=lam)
 
 
 def test_train_em_segments_every_type(tiny_corpus):
