@@ -42,6 +42,7 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
     ends up empty are dropped with a warning.
     """
     gold = {}
+    shared = {}  # label -> the one string object every entry uses for it
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -61,7 +62,7 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
         tags = fields[1:]
         if tag_filter is not None:
             tags = [t for t in tags if t in tag_filter]
-        labels = bases + tags
+        labels = [shared.setdefault(label, label) for label in bases + tags]
         if word in gold:
             _logger.warning("%s line %d: duplicate analysis for %r kept first", source, lineno, word)
             continue
@@ -200,23 +201,14 @@ def _string_match_align(morphs, entry):
     return _backtrace(move, len(morphs), len(labels))
 
 
-def _accumulate(words, alignments, segmented, gold, token_counts):
-    """Token-weighted pair and morph tallies from current alignments.
+def _tally(pair_counts, morphs, labels, pairs, weight):
+    """Add one word's token-weighted pair counts from its alignment.
 
-    A word token containing morph M counts once toward c(M) and once
-    toward c(M, L) for each distinct label L aligned with M in it.
+    A word token counts once toward c(M, L) for each distinct label L
+    aligned with morph M in it.
     """
-    pair_counts = collections.Counter()
-    morph_counts = collections.Counter()
-    for word in words:
-        weight = token_counts[word]
-        morphs = segmented[word]
-        labels = gold[word].labels
-        for morph, label in {(morphs[i], labels[j]) for i, j in alignments[word]}:
-            pair_counts[(morph, label)] += weight
-        for morph in set(morphs):
-            morph_counts[morph] += weight
-    return pair_counts, morph_counts
+    for pair in {(morphs[i], labels[j]) for i, j in pairs}:
+        pair_counts[pair] += weight
 
 
 def _build_table(pair_counts, morph_counts, extra, max_distance):
@@ -253,7 +245,10 @@ def em_align(
     alignments and realigning every word under the new distances, starting
     from string-matching alignments, until the token-weighted total
     distance improves by less than tol relative or max_iters is reached.
-    Words without a reference analysis are skipped with a warning.
+    Alignments are not kept: each word's new alignment is tallied into the
+    pair counts of the next table as soon as it is found. A word token
+    containing morph M counts once toward c(M), which no realignment
+    changes. Words without a reference analysis are skipped with a warning.
     distance_log, if given, is appended with the total distance after each
     realignment.
     """
@@ -271,18 +266,23 @@ def em_align(
         if word not in token_counts:
             raise MorphsegError("no token count for %r" % (word,))
 
-    alignments = {w: _string_match_align(segmented[w], gold[w]) for w in words}
+    morph_counts = collections.Counter()
+    pair_counts = collections.Counter()
+    for word in words:
+        morphs, entry, weight = segmented[word], gold[word], token_counts[word]
+        for morph in set(morphs):
+            morph_counts[morph] += weight
+        _tally(pair_counts, morphs, entry.labels, _string_match_align(morphs, entry), weight)
     prev_total = None
     for _ in range(max_iters):
-        pair_counts, morph_counts = _accumulate(
-            words, alignments, segmented, gold, token_counts
-        )
         table = _build_table(pair_counts, morph_counts, extra_distance, max_distance)
+        pair_counts = collections.Counter()
         total = 0.0
         for word in words:
-            pairs, bits = align_word(segmented[word], gold[word].labels, table)
-            alignments[word] = pairs
-            total += token_counts[word] * bits
+            morphs, labels, weight = segmented[word], gold[word].labels, token_counts[word]
+            pairs, bits = align_word(morphs, labels, table)
+            _tally(pair_counts, morphs, labels, pairs, weight)
+            total += weight * bits
         if distance_log is not None:
             distance_log.append(total)
         if prev_total is not None and prev_total - total < tol * max(prev_total, 1e-12):

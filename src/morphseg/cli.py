@@ -315,11 +315,52 @@ def _segment_types(model, corpus):
 _segment_types_ml = _segment_types
 
 
+def _run_rec_mdl(args, train, test, out_dir):
+    """rec-mdl trained, saved and applied: (store, train seg, test seg, training seconds)."""
+    t0 = time.perf_counter()
+    store = _train_rec_mdl(args, train)
+    wall_time = time.perf_counter() - t0
+    if out_dir:
+        io.save_mdl_model(store, out_dir / "rec_mdl.model")
+    train_seg = _segment_types(store, train)
+    test_seg = _segment_types(store, test)  # adapts the store to unseen words
+    return store, train_seg, test_seg, wall_time
+
+
+def _run_seq_ml(args, train, test, out_dir):
+    """seq-ml trained, saved and applied: (stats, train seg, test seg, training seconds)."""
+    t0 = time.perf_counter()
+    train_seg, stats = _train_seq_ml(args, train)
+    wall_time = time.perf_counter() - t0
+    if out_dir:
+        io.save_ml_model(stats, out_dir / "seq_ml.model")
+    return stats, train_seg, _segment_types_ml(stats, test), wall_time
+
+
+def _compare_method(args, run, prefix, train, test, gold, out_dir):
+    """Report row of one method; its model, segmentations and evaluation
+    die with this call, before the next method runs."""
+    model, train_seg, test_seg, wall_time = run(args, train, test, out_dir)
+    evaluation = None
+    if gold:
+        evaluation, _ = align.evaluate(
+            train_seg, test_seg, gold, train.type_counts, test.type_counts,
+            max_distance=args.max_distance,
+        )
+    row = report.build_report(model, evaluation, wall_time, args.char_bits)
+    if out_dir:
+        io.save_segmentation(train_seg, out_dir / (prefix + ".train_seg.tsv"))
+        io.save_segmentation(test_seg, out_dir / (prefix + ".test_seg.tsv"))
+    return row
+
+
 def cmd_compare(args):
     pre = _preprocess_config(args)
     _check_alphabet_codable(pre, args.char_bits)
-    corpus = read_corpus(args.corpus, pre)
-    train, test = split_corpus(corpus, args.train_tokens, args.test_tokens)
+    ml.check_interval_mean(args.interval_mean)
+    if args.iterations < 1:
+        raise UsageError("need at least one seq-ml iteration")
+    train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = None
     if args.gold:
@@ -330,55 +371,11 @@ def cmd_compare(args):
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    # method 1: online recursive MDL
-    t0 = time.perf_counter()
-    store = _train_rec_mdl(args, train)
-    mdl_time = time.perf_counter() - t0
-    if out_dir:
-        io.save_mdl_model(store, out_dir / "rec_mdl.model")
-    mdl_train_seg = _segment_types(store, train)
-    mdl_test_seg = _segment_types(store, test)  # adapts the store to unseen words
-
-    # method 2: batch Viterbi EM
-    t0 = time.perf_counter()
-    ml_seg, stats = _train_seq_ml(args, train)
-    ml_time = time.perf_counter() - t0
-    if out_dir:
-        io.save_ml_model(stats, out_dir / "seq_ml.model")
-    ml_test_seg = _segment_types_ml(stats, test)
-
-    evaluations = {"rec-mdl": None, "seq-ml": None}
-    if gold:
-        for method, train_seg, test_seg in (
-            ("rec-mdl", mdl_train_seg, mdl_test_seg),
-            ("seq-ml", ml_seg, ml_test_seg),
-        ):
-            result, _ = align.evaluate(
-                train_seg,
-                test_seg,
-                gold,
-                train.type_counts,
-                test.type_counts,
-                max_distance=args.max_distance,
-            )
-            evaluations[method] = result
-
     reports = [
-        report.build_report(
-            store, evaluation=evaluations["rec-mdl"], wall_time=mdl_time
-        ),
-        report.build_report(
-            stats,
-            evaluation=evaluations["seq-ml"],
-            wall_time=ml_time,
-            char_bits=args.char_bits,
-        ),
+        _compare_method(args, _run_rec_mdl, "rec_mdl", train, test, gold, out_dir),
+        _compare_method(args, _run_seq_ml, "seq_ml", train, test, gold, out_dir),
     ]
     if out_dir:
-        io.save_segmentation(mdl_train_seg, out_dir / "rec_mdl.train_seg.tsv")
-        io.save_segmentation(mdl_test_seg, out_dir / "rec_mdl.test_seg.tsv")
-        io.save_segmentation(ml_seg, out_dir / "seq_ml.train_seg.tsv")
-        io.save_segmentation(ml_test_seg, out_dir / "seq_ml.test_seg.tsv")
         report.write_metrics(reports, out_dir / "report.json")
     print(report.format_comparison(reports))
     return 0

@@ -108,7 +108,9 @@ def load_mdl_model(path):
     try:
         char_bits = int(params["char_bits"])
     except (KeyError, ValueError):
-        raise ModelFormatError("%s: missing or bad char_bits" % (path,)) from None
+        char_bits = 0
+    if char_bits < 1:
+        raise ModelFormatError("%s: missing or bad char_bits" % (path,))
     chunks = {}
     for lineno, line in enumerate(body, start=2):
         fields = line.split("\t")

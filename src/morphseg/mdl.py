@@ -72,6 +72,10 @@ class MdlConfig:
     dream_passes: int = 1
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self):
+        if self.dream_interval < 0 or self.dream_passes < 0:
+            raise ValueError("dream interval and passes must not be negative")
+
 
 class _NeumaierSum:
     """Compensated running sum; keeps float error near one rounding step.
@@ -317,7 +321,7 @@ class ChunkStore:
     # -- reading the model ----------------------------------------------
 
     def segment_word(self, word):
-        """Trace the chunk tree of a known word down to its morphs."""
+        """Trace the chunk tree of a known word down to its morphs (leaf texts, not copies)."""
         if word not in self.chunks:
             raise NotTrainedError("unknown word: %r" % (word,))
         morphs = []
@@ -331,7 +335,7 @@ class ChunkStore:
                 stack.append(t[s:])
                 stack.append(t[:s])
             else:
-                morphs.append(t)
+                morphs.append(node.text)
         return morphs
 
     # -- invariants, rebuilding and copies -------------------------------

@@ -57,16 +57,22 @@ class MorphStats:
         return MdlCost.of(self.counts, 0).corpus_bits
 
 
-def poisson(rng, lam):
-    """One Poisson draw by CDF inversion from the given generator.
+def check_interval_mean(lam):
+    """exp(-lam), or ValueError unless lam is a usable Poisson mean.
 
     lam must be positive and small enough (about 708 at most) that
-    exp(-lam) is a normal float; otherwise the inversion loop, or the
-    redraw of zeros in random_segment, never ends.
+    exp(-lam) is a normal float; otherwise the inversion loop of poisson,
+    or the redraw of zeros in random_segment, never ends.
     """
     p = math.exp(-lam) if lam > 0 else 0.0
     if p < sys.float_info.min:
         raise ValueError("lambda must be positive with exp(-lambda) a normal float, got %r" % (lam,))
+    return p
+
+
+def poisson(rng, lam):
+    """One Poisson draw by CDF inversion from the given generator."""
+    p = check_interval_mean(lam)
     u = rng.random()
     cum = p
     k = 0

@@ -99,3 +99,42 @@ def traced_flat_cost(store):
         return 0.0
     corpus = sum(c * math.log2(total / c) for c in counts.values())
     return corpus + store.char_bits * sum(len(m) for m in counts)
+
+
+def em_align_keeping_paths(
+    segmented, gold, token_counts, max_iters, tol, extra_distance, max_distance, distance_log
+):
+    """Alignment EM that stores every word's path and re-reads it.
+
+    The plain form of align.em_align: all alignments are kept in a dict,
+    and the pair and morph tallies for each table are recounted from them.
+    Uses the package's string-match start, table builder and word aligner,
+    so only the bookkeeping of the EM loop differs.
+    """
+    from morphseg import align
+
+    words = [w for w in segmented if w in gold]
+    alignments = {w: align._string_match_align(segmented[w], gold[w]) for w in words}
+    prev_total = None
+    for _ in range(max_iters):
+        pair_counts = {}
+        morph_counts = {}
+        for word in words:
+            weight = token_counts[word]
+            morphs = segmented[word]
+            labels = gold[word].labels
+            for pair in {(morphs[i], labels[j]) for i, j in alignments[word]}:
+                pair_counts[pair] = pair_counts.get(pair, 0) + weight
+            for morph in set(morphs):
+                morph_counts[morph] = morph_counts.get(morph, 0) + weight
+        table = align._build_table(pair_counts, morph_counts, extra_distance, max_distance)
+        total = 0.0
+        for word in words:
+            pairs, bits = align.align_word(segmented[word], gold[word].labels, table)
+            alignments[word] = pairs
+            total += token_counts[word] * bits
+        distance_log.append(total)
+        if prev_total is not None and prev_total - total < tol * max(prev_total, 1e-12):
+            break
+        prev_total = total
+    return table

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from morphseg.align import (
+    DEFAULT_EXTRA_DISTANCE,
     DistanceTable,
     _string_match_align,
     align_word,
@@ -59,6 +60,15 @@ def test_parse_gold_duplicate_keeps_first(caplog):
         gold = parse_gold(["cats\tCAT N PL", "cats\tKAT N"])
     assert gold["cats"].labels == ("CAT", "N", "PL")
     assert "duplicate" in caplog.text
+
+
+def test_parse_gold_shares_one_object_per_label():
+    gold = parse_gold(["cats\tCAT N PL", "dogs\tDOG N PL", "catdogs\tCAT#DOG N PL"])
+    first = {}
+    for entry in gold.values():
+        for label in entry.labels:
+            assert first.setdefault(label, label) is label
+    assert sorted(first) == ["CAT", "DOG", "N", "PL"]
 
 
 def test_parse_gold_skips_blank_lines():
@@ -311,6 +321,54 @@ def test_em_align_stops_once_improvement_stalls(type_counts, seed):
     # every round but the last must have cleared the improvement threshold
     for earlier, later in zip(log[:-1], log[1:-1]):
         assert earlier - later >= 1e-4 * max(earlier, 1e-12)
+
+
+_EM_MORPHS = ["a", "b", "ab", "ba", "s", "ta", "tab"]
+
+
+@st.composite
+def em_instances(draw):
+    """Segmented words, reference analyses (some missing) and token counts."""
+    segs = draw(
+        st.lists(
+            st.lists(st.sampled_from(_EM_MORPHS), min_size=1, max_size=4),
+            min_size=1,
+            max_size=10,
+            unique_by="".join,
+        )
+    )
+    segmented, gold_lines, counts = {}, [], {}
+    for morphs in segs:
+        word = "".join(morphs)
+        segmented[word] = morphs
+        counts[word] = draw(st.integers(min_value=1, max_value=5))
+        if len(gold_lines) == 0 or draw(st.integers(0, 4)):
+            bases = draw(st.lists(st.sampled_from(["AB", "BA", "TA", "S"]), min_size=1, max_size=2))
+            tags = draw(st.lists(st.sampled_from(["PL", "GEN", "SG3"]), max_size=2))
+            gold_lines.append("%s\t%s" % (word, " ".join(["#".join(bases)] + tags)))
+    return segmented, parse_gold(gold_lines), counts
+
+
+@given(
+    em_instances(),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0.0, 1e-4, 0.05]),
+    st.sampled_from([None, 60.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_em_align_equals_the_keep_every_path_oracle(instance, max_iters, tol, max_distance):
+    segmented, gold, counts = instance
+    log, expected_log = [], []
+    table = em_align(
+        segmented, gold, counts, max_iters=max_iters, tol=tol,
+        max_distance=max_distance, distance_log=log,
+    )
+    expected = oracles.em_align_keeping_paths(
+        segmented, gold, counts, max_iters, tol, DEFAULT_EXTRA_DISTANCE, max_distance, expected_log
+    )
+    assert table.distances == expected.distances
+    assert table.max_distance == expected.max_distance
+    assert log == expected_log
 
 
 # -- scoring under a frozen table ---------------------------------------------

@@ -529,3 +529,76 @@ def test_compare_oversized_split_is_a_data_error(workdir, capsys):
         ]
     )
     assert code == 3
+
+
+def _compare_argv(workdir, *extra):
+    return [
+        "compare",
+        "--corpus", str(workdir / "corpus.txt"),
+        "--train-tokens", "400",
+        "--test-tokens", "100",
+        "--out-dir", str(workdir / "run"),
+    ] + list(extra)
+
+
+@pytest.mark.parametrize(
+    "extra", [("--lambda", "0"), ("--lambda", "1000"), ("--iterations", "0")]
+)
+def test_compare_checks_seq_ml_options_before_training(workdir, monkeypatch, extra):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite a bad seq-ml option")
+
+    monkeypatch.setattr(cli.mdl, "train_online", no_training)
+    assert main(_compare_argv(workdir, *extra)) == 2
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("option", ["--dream-interval", "--dream-passes"])
+def test_negative_dreaming_settings_are_usage_errors(workdir, option):
+    code = main(
+        [
+            "train", "--method", "rec-mdl",
+            "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"),
+            option, "-5",
+        ]
+    )
+    assert code == 2
+    assert not (workdir / "m").exists()
+    assert main(_compare_argv(workdir, option, "-1")) == 2
+    assert not list((workdir / "run").iterdir())
+
+
+@pytest.mark.parametrize("char_bits", ["0", "-1"])
+def test_segment_with_non_positive_char_bits_is_a_data_error(workdir, char_bits):
+    model = workdir / "m.model"
+    model.write_text("morphseg-mdl v1 char_bits=%s\na\t0\t1\n" % char_bits, encoding="utf-8")
+    (workdir / "words.txt").write_text("a\n", encoding="utf-8")
+    out = workdir / "out.tsv"
+    code = main(["segment", "--model", str(model), "--words", str(workdir / "words.txt"),
+                 "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
+def test_compare_releases_the_rec_mdl_store_before_seq_ml_trains(workdir, monkeypatch):
+    import gc
+    import weakref
+
+    refs = []
+    train_online, train_em = cli.mdl.train_online, cli.ml.train_em
+
+    def kept_train_online(*args, **kwargs):
+        store = train_online(*args, **kwargs)
+        refs.append(weakref.ref(store))
+        return store
+
+    def checked_train_em(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in refs] == [None]
+        return train_em(*args, **kwargs)
+
+    monkeypatch.setattr(cli.mdl, "train_online", kept_train_online)
+    monkeypatch.setattr(cli.ml, "train_em", checked_train_em)
+    assert main(_compare_argv(workdir, "--gold", str(workdir / "gold.tsv"), "--iterations", "2")) == 0
+    assert len(refs) == 1

@@ -117,6 +117,14 @@ def test_mdl_load_requires_char_bits(tmp_path):
         io.load_mdl_model(path)
 
 
+@pytest.mark.parametrize("char_bits", ["0", "-3"])
+def test_mdl_load_rejects_non_positive_char_bits(tmp_path, char_bits):
+    path = tmp_path / "m.model"
+    _write_lines(path, ["morphseg-mdl v1 char_bits=" + char_bits, "a\t0\t1"])
+    with pytest.raises(ModelFormatError, match="char_bits"):
+        io.load_mdl_model(path)
+
+
 @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=6), min_size=1, max_size=20))
 @settings(max_examples=40, deadline=None)
 def test_mdl_roundtrip_property(words):

@@ -89,6 +89,24 @@ def test_segment_traces_to_morphs(tiny_corpus):
         assert all(store.chunks[m].split == 0 for m in morphs)
 
 
+def test_segment_word_returns_the_stores_leaf_texts(tiny_corpus):
+    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+    split = 0
+    for word in tiny_corpus.type_counts:
+        morphs = store.segment_word("".join(list(word)))  # a fresh copy of the word
+        split += len(morphs) > 1
+        for morph in morphs:
+            assert morph is store.chunks[morph].text
+    assert split  # some morphs come from inside a split word
+
+
+@pytest.mark.parametrize("field", ["dream_interval", "dream_passes"])
+def test_negative_dreaming_settings_are_rejected(field):
+    with pytest.raises(ValueError, match="negative"):
+        MdlConfig(**{field: -1})
+    MdlConfig(**{field: 0})  # an interval of 0 disables dreaming
+
+
 def test_tracked_cost_matches_scratch(tiny_corpus):
     store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
     scratch = store.total_cost()
