@@ -7,6 +7,7 @@ empty corpora and the like).
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import random
@@ -137,18 +138,22 @@ def build_parser():
 # -- train ----------------------------------------------------------------
 
 
-def _train_rec_mdl(args, corpus):
-    """rec-mdl trained as the method options say; writes --cost-curve if given."""
-    config = MdlConfig(
+def _mdl_config(args):
+    """rec-mdl settings from the method options; ValueError for bad ones."""
+    return MdlConfig(
         char_bits=args.char_bits,
         dream_interval=args.dream_interval,
         dream_passes=args.dream_passes,
         seed=args.seed,
     )
-    curve = [] if args.cost_curve else None
+
+
+def _train_rec_mdl(config, corpus, cost_curve):
+    """rec-mdl trained with config; writes the cost curve CSV if a path is given."""
+    curve = [] if cost_curve else None
     store = mdl.train_online(corpus, config, curve=curve)
-    if args.cost_curve:
-        io.write_cost_curve(curve, args.cost_curve)
+    if cost_curve:
+        io.write_cost_curve(curve, cost_curve)
     return store
 
 
@@ -170,7 +175,7 @@ def cmd_train(args):
         corpus = truncate(corpus, args.train_tokens)
     if args.method == "rec-mdl":
         _check_alphabet_codable(pre, args.char_bits)
-        store = _train_rec_mdl(args, corpus)
+        store = _train_rec_mdl(_mdl_config(args), corpus, args.cost_curve)
         io.save_mdl_model(store, args.model)
         morphs, bits = store.codebook_size(), store.tracked_cost
     else:
@@ -315,10 +320,10 @@ def _segment_types(model, corpus):
 _segment_types_ml = _segment_types
 
 
-def _run_rec_mdl(args, train, test, out_dir):
+def _run_rec_mdl(config, args, train, test, out_dir):
     """rec-mdl trained, saved and applied: (store, train seg, test seg, training seconds)."""
     t0 = time.perf_counter()
-    store = _train_rec_mdl(args, train)
+    store = _train_rec_mdl(config, train, args.cost_curve)
     wall_time = time.perf_counter() - t0
     if out_dir:
         io.save_mdl_model(store, out_dir / "rec_mdl.model")
@@ -357,6 +362,7 @@ def _compare_method(args, run, prefix, train, test, gold, out_dir):
 def cmd_compare(args):
     pre = _preprocess_config(args)
     _check_alphabet_codable(pre, args.char_bits)
+    config = _mdl_config(args)
     ml.check_interval_mean(args.interval_mean)
     if args.iterations < 1:
         raise UsageError("need at least one seq-ml iteration")
@@ -372,7 +378,9 @@ def cmd_compare(args):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = [
-        _compare_method(args, _run_rec_mdl, "rec_mdl", train, test, gold, out_dir),
+        _compare_method(
+            args, functools.partial(_run_rec_mdl, config), "rec_mdl", train, test, gold, out_dir
+        ),
         _compare_method(args, _run_seq_ml, "seq_ml", train, test, gold, out_dir),
     ]
     if out_dir:

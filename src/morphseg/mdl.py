@@ -147,11 +147,16 @@ class ChunkStore:
 
     # -- flow bookkeeping ---------------------------------------------
     #
-    # Counts propagate through splits by the full flow amount on every
-    # path: a chunk used on both sides of a split receives the amount
-    # twice. Chunks whose count reaches zero are deleted.
+    # A count change on a chunk flows through its split down to the leaves:
+    # _flow adds a signed amount on every path below a chunk, so a part used
+    # on both sides of a split receives it twice. A missing chunk is created
+    # as a leaf only by a positive amount; a negative one that reaches a
+    # missing chunk means the flow is broken and raises KeyError. A chunk
+    # whose count reaches zero is deleted. A leaf's old count*log2(count)
+    # term leaves the tracker before its new one enters: the tracker is a
+    # float sum, so the order of its adds fixes the costs that decide splits.
 
-    def _add_flow(self, text, amount):
+    def _flow(self, text, amount):
         chunks = self.chunks
         plogp = self._plogp
         stack = [text]
@@ -159,48 +164,26 @@ class ChunkStore:
             t = stack.pop()
             node = chunks.get(t)
             if node is None:
-                chunks[t] = Chunk(t, amount)
-                self._leaf_tokens += amount
+                if amount < 0:
+                    raise KeyError(t)
+                chunks[t] = node = Chunk(t, 0)
                 self._leaf_chars += len(t)
-                if amount > 1:
-                    plogp.add(amount * _log2(amount))
-            else:
-                c0 = node.count
-                node.count = c1 = c0 + amount
-                s = node.split
-                if s == 0:
-                    self._leaf_tokens += amount
-                    if c0 > 1:
-                        plogp.add(-(c0 * _log2(c0)))
-                    plogp.add(c1 * _log2(c1))
-                else:
-                    stack.append(t[:s])
-                    stack.append(t[s:])
-
-    def _remove_flow(self, text, amount):
-        chunks = self.chunks
-        plogp = self._plogp
-        stack = [text]
-        while stack:
-            t = stack.pop()
-            node = chunks[t]
             c0 = node.count
-            node.count = c1 = c0 - amount
+            node.count = c1 = c0 + amount
             s = node.split
-            if s == 0:
-                self._leaf_tokens -= amount
+            if s:
+                stack.append(t[:s])
+                stack.append(t[s:])
+            else:
+                self._leaf_tokens += amount
                 if c0 > 1:
                     plogp.add(-(c0 * _log2(c0)))
                 if c1 > 1:
                     plogp.add(c1 * _log2(c1))
-                if c1 == 0:
-                    del chunks[t]
+                elif c1 == 0:
                     self._leaf_chars -= len(t)
-            else:
-                stack.append(t[:s])
-                stack.append(t[s:])
-                if c1 == 0:
-                    del chunks[t]
+            if c1 == 0:
+                del chunks[t]
 
     def _split_leaf(self, node, i):
         """Turn a leaf chunk into a split at i, flowing its count down."""
@@ -211,21 +194,23 @@ class ChunkStore:
         if c > 1:
             self._plogp.add(-(c * _log2(c)))
         text = node.text
-        self._add_flow(text[:i], c)
-        self._add_flow(text[i:], c)
+        self._flow(text[:i], c)
+        self._flow(text[i:], c)
 
-    def _unsplit(self, node):
-        """Undo a split: pull the flow back out and make the chunk a leaf."""
+    def _unsplit(self, node, count):
+        """Undo a split: pull the flow back out and leave the chunk a leaf
+        with the given count."""
         c = node.count
         s = node.split
         node.split = 0
         text = node.text
-        self._remove_flow(text[:s], c)
-        self._remove_flow(text[s:], c)
-        self._leaf_tokens += c
+        self._flow(text[:s], -c)
+        self._flow(text[s:], -c)
+        node.count = count
+        self._leaf_tokens += count
         self._leaf_chars += len(text)
-        if c > 1:
-            self._plogp.add(c * _log2(c))
+        if count > 1:
+            self._plogp.add(count * _log2(count))
 
     # -- search --------------------------------------------------------
 
@@ -245,13 +230,13 @@ class ChunkStore:
                 continue
             node = chunks[t]
             if node.split:
-                self._unsplit(node)
+                self._unsplit(node, node.count)
             best_cost = self.tracked_cost
             best_i = 0
             for i in range(1, len(t)):
                 self._split_leaf(node, i)
                 cost = self.tracked_cost
-                self._unsplit(node)
+                self._unsplit(node, node.count)
                 if cost < best_cost:
                     best_cost = cost
                     best_i = i
@@ -265,27 +250,10 @@ class ChunkStore:
         """Detach any split under a word and leave it as a leaf chunk,
         raising its count by one."""
         node = self.chunks.get(word)
-        if node is None:
-            self.chunks[word] = Chunk(word, 1)
-            self._leaf_tokens += 1
-            self._leaf_chars += len(word)
-            return
-        c0 = node.count
-        c1 = c0 + 1
-        if node.split:
-            s = node.split
-            node.split = 0
-            self._remove_flow(word[:s], c0)
-            self._remove_flow(word[s:], c0)
-            node.count = c1
-            self._leaf_tokens += c1
-            self._leaf_chars += len(word)
+        if node is not None and node.split:
+            self._unsplit(node, node.count + 1)
         else:
-            node.count = c1
-            self._leaf_tokens += 1
-            if c0 > 1:
-                self._plogp.add(-(c0 * _log2(c0)))
-        self._plogp.add(c1 * _log2(c1))
+            self._flow(word, 1)
 
     def process_word(self, word):
         """Feed one word token to the model and re-derive its splits."""
@@ -424,8 +392,8 @@ class ChunkStore:
         dup.word_counts = dict(self.word_counts)
         dup._leaf_tokens = self._leaf_tokens
         dup._leaf_chars = self._leaf_chars
-        dup._plogp.add(self._plogp.high)
-        dup._plogp.add(self._plogp.low)
+        dup._plogp.high = self._plogp.high
+        dup._plogp.low = self._plogp.low
         return dup
 
     def __eq__(self, other):

@@ -31,39 +31,19 @@ class MetricsReport:
     wall_time_sec: float = None
     cost_footnote: bool = False
 
-    def to_record(self, include_timing=False):
-        """JSON-ready dict; timing is excluded unless asked for because it
-        varies between otherwise identical runs."""
-        record = {
-            "method": self.method,
-            "total_cost_bits": self.total_cost_bits,
-            "corpus_cost_bits": self.corpus_cost_bits,
-            "codebook_cost_bits": self.codebook_cost_bits,
-            "codebook_morphs": self.codebook_morphs,
-            "relative_codebook_cost": self.relative_codebook_cost,
-            "cost_footnote": self.cost_footnote,
-        }
-        if self.alignment_distance_bits is not None:
-            record["alignment_distance_bits"] = self.alignment_distance_bits
-            record["unseen_pair_pct"] = self.unseen_pair_pct
-        if include_timing and self.wall_time_sec is not None:
-            record["wall_time_sec"] = self.wall_time_sec
+    def to_record(self):
+        """JSON-ready dict of the fields, without the timing, which varies
+        between otherwise identical runs, and without the alignment fields
+        of a model that was not evaluated."""
+        record = dataclasses.asdict(self)
+        del record["wall_time_sec"]
+        if self.alignment_distance_bits is None:
+            del record["alignment_distance_bits"], record["unseen_pair_pct"]
         return record
 
     @classmethod
     def from_record(cls, record):
-        return cls(
-            method=record["method"],
-            total_cost_bits=record["total_cost_bits"],
-            corpus_cost_bits=record["corpus_cost_bits"],
-            codebook_cost_bits=record["codebook_cost_bits"],
-            codebook_morphs=record["codebook_morphs"],
-            relative_codebook_cost=record["relative_codebook_cost"],
-            alignment_distance_bits=record.get("alignment_distance_bits"),
-            unseen_pair_pct=record.get("unseen_pair_pct"),
-            wall_time_sec=record.get("wall_time_sec"),
-            cost_footnote=record.get("cost_footnote", False),
-        )
+        return cls(**record)
 
 
 def build_report(model, evaluation=None, wall_time=None, char_bits=5):

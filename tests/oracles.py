@@ -8,6 +8,8 @@ segmentations and paths produce bit-identical floats.
 
 import math
 
+from morphseg.mdl import Chunk, ChunkStore
+
 
 def iter_segmentations(word):
     """Every way to cut a word into non-empty contiguous parts.
@@ -138,3 +140,113 @@ def em_align_keeping_paths(
             break
         prev_total = total
     return table
+
+
+class MirroredFlowStore(ChunkStore):
+    """ChunkStore with the count flow written as two mirror-image walks.
+
+    Adding and removing flow are separate routines, and settling a word
+    handles a new, a leaf and a split chunk in three branches, each with
+    its own tracker updates. ChunkStore's one signed flow must leave
+    chunks, trackers and both compensated-sum parts bit-equal to this.
+    """
+
+    def _add_flow(self, text, amount):
+        chunks = self.chunks
+        plogp = self._plogp
+        stack = [text]
+        while stack:
+            t = stack.pop()
+            node = chunks.get(t)
+            if node is None:
+                chunks[t] = Chunk(t, amount)
+                self._leaf_tokens += amount
+                self._leaf_chars += len(t)
+                if amount > 1:
+                    plogp.add(amount * math.log2(amount))
+            else:
+                c0 = node.count
+                node.count = c1 = c0 + amount
+                s = node.split
+                if s == 0:
+                    self._leaf_tokens += amount
+                    if c0 > 1:
+                        plogp.add(-(c0 * math.log2(c0)))
+                    plogp.add(c1 * math.log2(c1))
+                else:
+                    stack.append(t[:s])
+                    stack.append(t[s:])
+
+    def _remove_flow(self, text, amount):
+        chunks = self.chunks
+        plogp = self._plogp
+        stack = [text]
+        while stack:
+            t = stack.pop()
+            node = chunks[t]
+            c0 = node.count
+            node.count = c1 = c0 - amount
+            s = node.split
+            if s == 0:
+                self._leaf_tokens -= amount
+                if c0 > 1:
+                    plogp.add(-(c0 * math.log2(c0)))
+                if c1 > 1:
+                    plogp.add(c1 * math.log2(c1))
+                if c1 == 0:
+                    del chunks[t]
+                    self._leaf_chars -= len(t)
+            else:
+                stack.append(t[:s])
+                stack.append(t[s:])
+                if c1 == 0:
+                    del chunks[t]
+
+    def _split_leaf(self, node, i):
+        c = node.count
+        node.split = i
+        self._leaf_tokens -= c
+        self._leaf_chars -= len(node.text)
+        if c > 1:
+            self._plogp.add(-(c * math.log2(c)))
+        text = node.text
+        self._add_flow(text[:i], c)
+        self._add_flow(text[i:], c)
+
+    def _unsplit(self, node, count):
+        # recursive_split only ever keeps the chunk's own count
+        assert count == node.count
+        c = node.count
+        s = node.split
+        node.split = 0
+        text = node.text
+        self._remove_flow(text[:s], c)
+        self._remove_flow(text[s:], c)
+        self._leaf_tokens += c
+        self._leaf_chars += len(text)
+        if c > 1:
+            self._plogp.add(c * math.log2(c))
+
+    def _settle_unsplit(self, word):
+        node = self.chunks.get(word)
+        if node is None:
+            self.chunks[word] = Chunk(word, 1)
+            self._leaf_tokens += 1
+            self._leaf_chars += len(word)
+            return
+        c0 = node.count
+        c1 = c0 + 1
+        if node.split:
+            s = node.split
+            node.split = 0
+            self._remove_flow(word[:s], c0)
+            self._remove_flow(word[s:], c0)
+            node.count = c1
+            self._leaf_tokens += c1
+            self._leaf_chars += len(word)
+        else:
+            node.count = c1
+            self._leaf_tokens += 1
+            if c0 > 1:
+                self._plogp.add(-(c0 * math.log2(c0)))
+        self._plogp.add(c1 * math.log2(c1))

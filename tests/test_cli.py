@@ -566,7 +566,7 @@ def test_negative_dreaming_settings_are_usage_errors(workdir, option):
     assert code == 2
     assert not (workdir / "m").exists()
     assert main(_compare_argv(workdir, option, "-1")) == 2
-    assert not list((workdir / "run").iterdir())
+    assert not (workdir / "run").exists()
 
 
 @pytest.mark.parametrize("char_bits", ["0", "-1"])

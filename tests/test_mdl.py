@@ -136,6 +136,25 @@ def test_copy_is_independent(tiny_corpus):
     dup.check_integrity()
 
 
+def test_copy_keeps_both_compensated_sum_parts():
+    from morphseg import synth
+
+    tokens, _, _ = synth.generate(3000, seed=0)
+    store = train_online(Corpus.from_tokens(tokens), MdlConfig(dream_interval=1000))
+    dup = store.copy()
+    assert store._plogp.low != 0.0
+    assert (dup._plogp.high, dup._plogp.low) == (store._plogp.high, store._plogp.low)
+
+
+def test_removing_flow_from_a_missing_chunk_raises():
+    store = ChunkStore()
+    store.process_word("ab")
+    before = list(store.chunks.items())
+    with pytest.raises(KeyError):
+        store._flow("zz", -1)
+    assert list(store.chunks.items()) == before
+
+
 def test_integrity_catches_corruption():
     store = ChunkStore()
     store.process_word("aa")
@@ -231,3 +250,37 @@ def test_committed_splits_never_beat_keeping_the_word_whole(words, next_word):
     # the no-split candidate is always on the table, so greedy search can
     # only improve on it
     assert store.tracked_cost <= baseline.tracked_cost + 1e-9
+
+
+def _same_state(store, reference):
+    assert list(store.chunks.items()) == list(reference.chunks.items())
+    assert store.word_counts == reference.word_counts
+    assert store._leaf_tokens == reference._leaf_tokens
+    assert store._leaf_chars == reference._leaf_chars
+    assert store._plogp.high == reference._plogp.high
+    assert store._plogp.low == reference._plogp.low
+
+
+store_operations = st.lists(
+    st.one_of(
+        st.text(alphabet="abc", min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=2 ** 30),  # a dreaming pass seed
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(store_operations)
+@settings(max_examples=80, deadline=None)
+def test_signed_flow_equals_the_mirrored_add_and_remove_walks(operations):
+    store = ChunkStore()
+    reference = oracles.MirroredFlowStore()
+    for op in operations:
+        if isinstance(op, str):
+            store.process_word(op)
+            reference.process_word(op)
+        else:
+            store.dream(random.Random(op), max_passes=2)
+            reference.dream(random.Random(op), max_passes=2)
+        _same_state(store, reference)

@@ -76,7 +76,6 @@ def test_records_exclude_timing_by_default():
     store.process_word("a")
     report = build_report(store, wall_time=3.0)
     assert "wall_time_sec" not in report.to_record()
-    assert report.to_record(include_timing=True)["wall_time_sec"] == 3.0
 
 
 def test_metrics_roundtrip_is_lossless(tmp_path):
