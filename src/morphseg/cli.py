@@ -6,7 +6,6 @@ empty corpora and the like).
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import logging
@@ -31,17 +30,10 @@ class UsageError(Exception):
     pass
 
 
-def _alphabet(value):
-    """Preset name or an explicit string of allowed characters."""
-    if value in ALPHABETS:
-        return ALPHABETS[value]
-    if not value:
-        raise UsageError("empty alphabet")
-    return frozenset(value)
-
-
 def _preprocess_config(args):
-    return PreprocessConfig(alphabet=_alphabet(args.alphabet), lowercase=not args.no_lowercase)
+    """--alphabet is a preset name or an explicit string of allowed characters."""
+    alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
+    return PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
 
 
 def _check_alphabet_codable(config, char_bits):
@@ -236,21 +228,10 @@ def _segment_records(model, words):
         yield record
 
 
-@contextlib.contextmanager
-def _output(path):
-    """The file at path, or stdout when no path is given."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        yield f
-
-
 def cmd_segment(args):
     model = _load_any_model(args.model)
     words = _read_words(args.words, not args.no_lowercase)
-    with _output(args.out) as f:
-        io.write_records(f, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
+    io.write_records(args.out, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
     return 0
 
 
@@ -293,17 +274,13 @@ def cmd_eval(args):
         "unseen_pair_pct": result.unseen_pair_pct,
         "max_distance": table.max_distance,
     }
-    with _output(args.out) as f:
-        f.write(json.dumps(record, sort_keys=True) + "\n")
+    io.write_lines(args.out, [json.dumps(record, sort_keys=True)])
     if args.dump_alignments:
-        with open(args.dump_alignments, "w", encoding="utf-8", newline="\n") as f:
-            for word in sorted(result.alignments):
-                f.write(
-                    align.format_alignment(
-                        word, test_seg[word], gold[word].labels, result.alignments[word]
-                    )
-                    + "\n"
-                )
+        lines = (
+            align.format_alignment(word, test_seg[word], gold[word].labels, alignment)
+            for word, alignment in sorted(result.alignments.items())
+        )
+        io.write_lines(args.dump_alignments, lines)
     return 0
 
 

@@ -9,6 +9,7 @@ flagged with a footnote in formatted output.
 import dataclasses
 import json
 
+from . import io
 from .mdl import ChunkStore, MdlCost
 from .ml import MorphStats
 
@@ -81,9 +82,7 @@ def build_report(model, evaluation=None, wall_time=None, char_bits=5):
 
 def write_metrics(reports, path):
     """One JSON object per line, deterministic (sorted keys, no timing)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for report in reports:
-            f.write(json.dumps(report.to_record(), sort_keys=True) + "\n")
+    io.write_lines(path, (json.dumps(r.to_record(), sort_keys=True) for r in reports))
 
 
 def read_metrics(path):

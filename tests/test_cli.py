@@ -343,6 +343,23 @@ def test_eval_writes_alignment_dump(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["unseen_pair_pct"] == 0.0
 
 
+def test_eval_out_file_equals_stdout(tmp_path, capsys):
+    seg_path, gold_path = eval_fixture(tmp_path)
+    assert main(_eval_argv(seg_path, gold_path)) == 0
+    out = tmp_path / "metrics.json"
+    assert main(_eval_argv(seg_path, gold_path, "--out", str(out))) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+def test_eval_alignment_dump_is_utf8_with_lf_ends(tmp_path):
+    seg_path, gold_path = tmp_path / "seg.tsv", tmp_path / "gold.tsv"
+    io.save_segmentation({"päivät": ["päivä", "t"], "yöt": ["yö", "t"]}, seg_path)
+    gold_path.write_text("päivät\tPÄIVÄ PL\nyöt\tYÖ PL\n", encoding="utf-8")
+    dump = tmp_path / "alignments.tsv"
+    assert main(_eval_argv(seg_path, gold_path, "--dump-alignments", str(dump))) == 0
+    assert dump.read_bytes() == "päivät\tpäivä:PÄIVÄ t:PL\nyöt\työ:YÖ t:PL\n".encode("utf-8")
+
+
 def test_eval_with_max_distance_override(tmp_path, capsys):
     seg_path, gold_path = eval_fixture(tmp_path)
     code = main(
@@ -498,6 +515,8 @@ def test_compare_pipeline(workdir, capsys):
     assert all(r.alignment_distance_bits is not None for r in reports)
     assert all(r.wall_time_sec is None for r in reports)
     assert io.read_cost_curve(workdir / "curve.csv")
+    raw = (out_dir / "report.json").read_bytes()
+    assert raw.decode("utf-8").count("\n") == 2 and b"\r" not in raw
 
     train_seg = io.load_segmentation(out_dir / "rec_mdl.train_seg.tsv")
     assert all("".join(m) == w for w, m in train_seg.items())
@@ -551,6 +570,22 @@ def test_compare_checks_seq_ml_options_before_training(workdir, monkeypatch, ext
     monkeypatch.setattr(cli.mdl, "train_online", no_training)
     assert main(_compare_argv(workdir, *extra)) == 2
     assert not (workdir / "run").exists()
+
+
+def test_empty_alphabet_is_a_usage_error(workdir, capsys):
+    code = main(
+        [
+            "train", "--method", "rec-mdl",
+            "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"),
+            "--alphabet", "",
+        ]
+    )
+    assert code == 2
+    assert not (workdir / "m").exists()
+    assert main(_compare_argv(workdir, "--alphabet", "")) == 2
+    assert not (workdir / "run").exists()
+    assert capsys.readouterr().err.count("error: alphabet must not be empty") == 2
 
 
 @pytest.mark.parametrize("option", ["--dream-interval", "--dream-passes"])

@@ -260,6 +260,24 @@ def test_distance_table_rejects_bad_floats(tmp_path):
         io.load_distance_table(path)
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (["s\tPL\t1.0", "s\tPL\t3.0"], "line 3: duplicate pair \\('s', 'PL'\\)"),
+        (["\tPL\t1.0"], "line 2: empty morph or label"),
+        (["s\t\t1.0"], "line 2: empty morph or label"),
+        (["s\tPL\t1.0", "s\tGEN\tnan"], "line 3: distance must be finite and non-negative"),
+        (["s\tPL\t-0.5"], "line 2: distance must be finite and non-negative"),
+        (["s\tPL\tinf"], "line 2: distance must be finite and non-negative"),
+    ],
+)
+def test_distance_table_rejects_invalid_records(tmp_path, records, message):
+    path = tmp_path / "d.tsv"
+    _write_lines(path, ["morphseg-dist v1 max_distance=10.0"] + records)
+    with pytest.raises(ModelFormatError, match=message):
+        io.load_distance_table(path)
+
+
 @given(
     st.dictionaries(
         st.tuples(
@@ -335,6 +353,19 @@ def test_cost_curve_rejects_foreign_files(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ModelFormatError):
         io.read_cost_curve(path)
+
+
+@pytest.mark.parametrize("row", ["2000,1.5,7", "x,1.5", "2000,fast"])
+def test_cost_curve_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "curve.csv"
+    _write_lines(path, ["tokens_processed,avg_word_cost_bits", "1000,2.5", row])
+    with pytest.raises(ModelFormatError, match="curve.csv line 3"):
+        io.read_cost_curve(path)
+
+
+def test_write_records_without_a_path_writes_to_stdout(capsys):
+    io.write_records(None, ["morphseg-seg", "v1"], iter(["päivät\tpäivä t"]))
+    assert capsys.readouterr().out == "morphseg-seg v1\npäivät\tpäivä t\n"
 
 
 def test_sniff_format(tmp_path, tiny_corpus):
