@@ -95,55 +95,46 @@ class DistanceTable:
         return (morph, label) in self.distances
 
 
-def _align_grid(m, n, cell):
-    """Minimum-score DP over the m x n alignment grid.
+def _align(costs):
+    """Minimum-cost monotone path over a grid of pairing costs.
 
-    cell(i, j) is the score of pairing morph i with label j; every cell on
+    costs[i][j] is the cost of pairing morph i with label j; every cell on
     the path is charged. Moves are diagonal, down (many-to-one) and right
-    (one-to-many); ties prefer diagonal, then down. Returns the full score
-    grid and a move grid for backtracing.
+    (one-to-many); ties prefer diagonal, then down. Returns (pairs, total),
+    pairs being the path's (morph index, label index) cells in order.
     """
-    score = [[0.0] * n for _ in range(m)]
-    move = [[0] * n for _ in range(m)]  # 1 diag, 2 down, 3 right
-    for i in range(m):
-        row = score[i]
-        for j in range(n):
-            here = cell(i, j)
-            if i == 0 and j == 0:
-                row[j] = here
-                continue
-            best = None
-            mv = 0
-            if i > 0 and j > 0:
-                best = score[i - 1][j - 1]
-                mv = 1
-            if i > 0 and (best is None or score[i - 1][j] < best):
-                best = score[i - 1][j]
-                mv = 2
-            if j > 0 and (best is None or row[j - 1] < best):
-                best = row[j - 1]
-                mv = 3
-            row[j] = here + best
-            move[i][j] = mv
-    return score, move
-
-
-def _backtrace(move, m, n):
-    pairs = []
-    i, j = m - 1, n - 1
-    while True:
-        pairs.append((i, j))
-        mv = move[i][j]
-        if mv == 0:
-            break
-        if mv == 1:
-            i, j = i - 1, j - 1
-        elif mv == 2:
+    inf = math.inf
+    # scores of the row above, shifted one column right: the corner before
+    # (0, 0) is free and every other cell outside the grid unreachable
+    up = [0.0] + [inf] * len(costs[0])
+    moves = []  # per cell: 1 diag, 2 down, 3 right
+    for here in costs:
+        row = [inf]
+        row_moves = []
+        for j, cost in enumerate(here):
+            best = up[j]
+            move = 1
+            if up[j + 1] < best:
+                best = up[j + 1]
+                move = 2
+            if row[j] < best:
+                best = row[j]
+                move = 3
+            row.append(cost + best)
+            row_moves.append(move)
+        moves.append(row_moves)
+        up = row
+    i, j = len(costs) - 1, len(up) - 2
+    pairs = [(i, j)]
+    while i or j:
+        move = moves[i][j]
+        if move != 3:
             i -= 1
-        else:
+        if move != 2:
             j -= 1
+        pairs.append((i, j))
     pairs.reverse()
-    return pairs
+    return pairs, up[-1]
 
 
 def align_word(morphs, labels, table):
@@ -154,18 +145,11 @@ def align_word(morphs, labels, table):
     """
     if not morphs or not labels:
         raise ValueError("both morphs and labels must be non-empty")
-
-    def cell(i, j):
-        return table.get(morphs[i], labels[j])
-
-    score, move = _align_grid(len(morphs), len(labels), cell)
-    pairs = _backtrace(move, len(morphs), len(labels))
-    return pairs, score[-1][-1]
+    get, unseen = table.distances.get, table.max_distance
+    return _align([[get((m, label), unseen) for label in labels] for m in morphs])
 
 
 def _common_substring_len(a, b):
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     best = 0
     for ca in a:
@@ -188,17 +172,13 @@ def _string_match_align(morphs, entry):
     negated scores, which picks the same path: IEEE rounding is symmetric
     in sign, so every sum and comparison is exactly mirrored.
     """
-    labels = entry.labels
-    folded = [m.casefold() for m in morphs]
-
-    def cell(i, j):
-        if j >= entry.base_count:
-            return 0.0
-        a, b = folded[i], labels[j].casefold()
-        return -_common_substring_len(a, b) / max(len(a), len(b))
-
-    _, move = _align_grid(len(morphs), len(labels), cell)
-    return _backtrace(move, len(morphs), len(labels))
+    bases = [label.casefold() for label in entry.labels[: entry.base_count]]
+    tags = [0.0] * (len(entry.labels) - entry.base_count)
+    costs = []
+    for morph in morphs:
+        a = morph.casefold()
+        costs.append([-_common_substring_len(a, b) / max(len(a), len(b)) for b in bases] + tags)
+    return _align(costs)[0]
 
 
 def _tally(pair_counts, morphs, labels, pairs, weight):
@@ -262,13 +242,11 @@ def em_align(
             _logger.warning("no reference analysis for %r; skipped", word)
     if not words:
         raise MorphsegError("no overlap between segmentation and reference analyses")
-    for word in words:
-        if word not in token_counts:
-            raise MorphsegError("no token count for %r" % (word,))
-
     morph_counts = collections.Counter()
     pair_counts = collections.Counter()
     for word in words:
+        if word not in token_counts:
+            raise MorphsegError("no token count for %r" % (word,))
         morphs, entry, weight = segmented[word], gold[word], token_counts[word]
         for morph in set(morphs):
             morph_counts[morph] += weight

@@ -30,20 +30,6 @@ class UsageError(Exception):
     pass
 
 
-def _preprocess_config(args):
-    """--alphabet is a preset name or an explicit string of allowed characters."""
-    alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
-    return PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
-
-
-def _check_alphabet_codable(config, char_bits):
-    if len(config.alphabet) > 2 ** char_bits:
-        raise UsageError(
-            "alphabet has %d characters; %d bits per character can code only %d"
-            % (len(config.alphabet), char_bits, 2 ** char_bits)
-        )
-
-
 def _add_corpus_options(p):
     p.add_argument("--corpus", required=True, help="raw text corpus (UTF-8)")
     p.add_argument(
@@ -130,14 +116,33 @@ def build_parser():
 # -- train ----------------------------------------------------------------
 
 
-def _mdl_config(args):
-    """rec-mdl settings from the method options; ValueError for bad ones."""
-    return MdlConfig(
-        char_bits=args.char_bits,
-        dream_interval=args.dream_interval,
-        dream_passes=args.dream_passes,
-        seed=args.seed,
-    )
+def _checked_options(args, methods):
+    """(preprocessing config, rec-mdl config or None) for the given methods.
+
+    Raises UsageError or ValueError for an option the methods cannot use, so
+    that train and compare reject it before any input is read.
+    """
+    # --alphabet is a preset name or an explicit string of allowed characters
+    alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
+    pre = PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
+    config = None
+    if "rec-mdl" in methods:
+        if len(pre.alphabet) > 2 ** args.char_bits:
+            raise UsageError(
+                "alphabet has %d characters; %d bits per character can code only %d"
+                % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)
+            )
+        config = MdlConfig(
+            char_bits=args.char_bits,
+            dream_interval=args.dream_interval,
+            dream_passes=args.dream_passes,
+            seed=args.seed,
+        )
+    if "seq-ml" in methods:
+        ml.check_interval_mean(args.interval_mean)
+        if args.iterations < 1:
+            raise UsageError("need at least one seq-ml iteration")
+    return pre, config
 
 
 def _train_rec_mdl(config, corpus, cost_curve):
@@ -161,13 +166,12 @@ def _train_seq_ml(args, corpus):
 
 
 def cmd_train(args):
-    pre = _preprocess_config(args)
+    pre, config = _checked_options(args, (args.method,))
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
         corpus = truncate(corpus, args.train_tokens)
     if args.method == "rec-mdl":
-        _check_alphabet_codable(pre, args.char_bits)
-        store = _train_rec_mdl(_mdl_config(args), corpus, args.cost_curve)
+        store = _train_rec_mdl(config, corpus, args.cost_curve)
         io.save_mdl_model(store, args.model)
         morphs, bits = store.codebook_size(), store.tracked_cost
     else:
@@ -337,12 +341,7 @@ def _compare_method(args, run, prefix, train, test, gold, out_dir):
 
 
 def cmd_compare(args):
-    pre = _preprocess_config(args)
-    _check_alphabet_codable(pre, args.char_bits)
-    config = _mdl_config(args)
-    ml.check_interval_mean(args.interval_mean)
-    if args.iterations < 1:
-        raise UsageError("need at least one seq-ml iteration")
+    pre, config = _checked_options(args, ("rec-mdl", "seq-ml"))
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = None

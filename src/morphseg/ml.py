@@ -105,11 +105,31 @@ def random_segment(word, rng, mean_interval=DEFAULT_INTERVAL_MEAN):
         pos += k
 
 
+def _cut(word, bounds, end):
+    """The morphs of word[:end] cut at the inner boundary tuple bounds."""
+    edges = (0,) + bounds + (end,)
+    return [word[i:j] for i, j in zip(edges, edges[1:])]
+
+
+def _exact_gap(word, end, bounds_a, bounds_b, counts, total):
+    """Sign-exact difference of the term sums of two segmentations of word[:end].
+
+    math.fsum rounds the exact sum correctly, so the result is zero exactly
+    when the sums are equal and otherwise has the sign of their difference.
+    """
+    terms = [_log2(total / counts[m]) for m in _cut(word, bounds_a, end)]
+    terms += [-_log2(total / counts[m]) for m in _cut(word, bounds_b, end)]
+    return math.fsum(terms)
+
+
 def viterbi_segment(word, stats):
     """Cheapest segmentation of a word into known morphs.
 
-    Returns (morphs, cost in bits). Ties are broken first toward fewer
-    morphs, then toward the lexicographically smallest boundary tuple.
+    Returns (morphs, cost in bits). Costs are compared exactly, as the real
+    sums of the per-morph float terms log2(total / count), so equal costs
+    always tie; the returned cost is the left-to-right float sum of the
+    chosen morphs' terms. Ties are broken first toward fewer morphs, then
+    toward the lexicographically smallest boundary tuple.
     Raises UnsegmentableError when no concatenation of known morphs
     yields the word.
     """
@@ -118,7 +138,10 @@ def viterbi_segment(word, stats):
     counts = stats.counts
     total = stats.total
     n = len(word)
-    # state per prefix length: (cost, morph count, boundary tuple)
+    # a float sum of k <= n terms >= 0 is off by under k * 2**-53 of it: costs
+    # further apart than 4x that share of their sum order as their exact sums do
+    slack = n * 2.0**-51
+    # state per prefix length: (float cost, morph count, boundary tuple)
     best = [None] * (n + 1)
     best[0] = (0.0, 0, ())
     for end in range(1, n + 1):
@@ -130,17 +153,25 @@ def viterbi_segment(word, stats):
             c = counts.get(word[start:end])
             if c is None:
                 continue
+            cost = prev[0] + _log2(total / c)
+            near = False
+            if winner is not None:
+                gap = cost - winner[0]
+                near = abs(gap) <= slack * (cost + winner[0])
+                if gap > 0 and not near:
+                    continue  # dearer by more than rounding can account for
             bounds = prev[2] + (start,) if start else prev[2]
-            cand = (prev[0] + _log2(total / c), prev[1] + 1, bounds)
-            if winner is None or cand < winner:
-                winner = cand
+            cand = (cost, prev[1] + 1, bounds)
+            if near:  # too close for the float sums to tell
+                gap = _exact_gap(word, end, bounds, winner[2], counts, total)
+                if gap > 0 or gap == 0 and cand[1:] > winner[1:]:
+                    continue
+            winner = cand
         best[end] = winner
     if best[n] is None:
         raise UnsegmentableError("no known morphs cover %r" % (word,))
     cost, _, bounds = best[n]
-    edges = (0,) + bounds + (n,)
-    morphs = [word[edges[i] : edges[i + 1]] for i in range(len(edges) - 1)]
-    return morphs, cost
+    return _cut(word, bounds, n), cost
 
 
 def reject(morphs, prev_type_usage):

@@ -126,22 +126,13 @@ def format_comparison(reports):
                 cell += " *"
             cells.append(cell)
         rows.append((name, cells))
-    name_w = max(len(r[0]) for r in rows)
-    col_w = [
-        max(len(h), max(len(r[1][i]) for r in rows)) for i, h in enumerate(headers)
-    ]
+    rows.insert(0, ("", headers))
+    name_w = max(len(name) for name, _ in rows)
+    col_w = [max(len(cells[i]) for _, cells in rows) for i in range(len(headers))]
     lines = [
-        "  ".join(
-            ["%-*s" % (name_w, "")] + ["%*s" % (col_w[i], h) for i, h in enumerate(headers)]
-        )
+        "  ".join(["%-*s" % (name_w, name)] + ["%*s" % (w, c) for w, c in zip(col_w, cells)])
+        for name, cells in rows
     ]
-    for name, cells in rows:
-        lines.append(
-            "  ".join(
-                ["%-*s" % (name_w, name)]
-                + ["%*s" % (col_w[i], c) for i, c in enumerate(cells)]
-            )
-        )
     if any(r.cost_footnote for r in reports):
         lines.append("* " + ML_FOOTNOTE)
     return "\n".join(lines)

@@ -23,32 +23,36 @@ def iter_segmentations(word):
         yield bounds, [word[edges[k] : edges[k + 1]] for k in range(len(edges) - 1)]
 
 
+def exact_units(x):
+    """A float as an exact integer multiple of 2**-1074, the smallest double spacing."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 def exhaustive_viterbi(word, stats):
     """Cheapest segmentation of a word by trying every one.
 
-    Returns (morphs, cost) under the same tie order as the DP (fewer
-    morphs, then smallest boundary tuple), or None when no segmentation
-    uses only known morphs.
+    Segmentations are ordered as the DP orders them: by the exact sum of
+    their per-morph float terms, then fewer morphs, then smallest boundary
+    tuple. Returns (morphs, left-to-right float sum of the winner's terms),
+    or None when no segmentation uses only known morphs.
     """
     counts = stats.counts
     total = stats.total
     best = None
     for bounds, morphs in iter_segmentations(word):
-        cost = 0.0
-        for m in morphs:
-            c = counts.get(m)
-            if c is None:
-                cost = None
-                break
-            cost = cost + math.log2(total / c)
-        if cost is None:
+        if any(m not in counts for m in morphs):
             continue
-        cand = (cost, len(morphs), bounds, morphs)
-        if best is None or cand[:3] < best[:3]:
-            best = cand
+        terms = [math.log2(total / counts[m]) for m in morphs]
+        key = (sum(exact_units(t) for t in terms), len(morphs), bounds)
+        if best is None or key < best[0]:
+            cost = 0.0
+            for t in terms:
+                cost = cost + t
+            best = (key, morphs, cost)
     if best is None:
         return None
-    return best[3], best[0]
+    return best[1], best[2]
 
 
 def iter_alignment_paths(m, n):

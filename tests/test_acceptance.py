@@ -69,7 +69,7 @@ def test_02_viterbi_is_optimal(capsys):
                 for i in range(len(word))
                 for j in range(i + 1, len(word) + 1)
             }
-            for s in substrings:
+            for s in sorted(substrings):
                 if rng.random() < 0.35:
                     counts[s] = rng.randint(1, 20)
             if not counts:

@@ -8,6 +8,7 @@ import oracles
 from morphseg.align import (
     DEFAULT_EXTRA_DISTANCE,
     DistanceTable,
+    GoldEntry,
     _string_match_align,
     align_word,
     em_align,
@@ -167,6 +168,45 @@ def test_string_match_groups_split_base_parts():
     gold = parse_gold(["puutalo\tPUU#TALO N"], tag_filter=set())
     pairs = _string_match_align(["puu", "t", "alo"], gold["puutalo"])
     assert pairs == [(0, 0), (1, 1), (2, 1)]
+
+
+def _negated_similarity(morph, label):
+    """-(longest common substring, case-insensitive) / longer length, by search."""
+    a, b = morph.casefold(), label.casefold()
+    common = max(k for k in range(len(a) + 1) for i in range(len(a) - k + 1) if a[i : i + k] in b)
+    return -common / max(len(a), len(b))
+
+
+@st.composite
+def string_match_instances(draw):
+    # few short strings over two letters, so repeats and equal scores are common
+    pieces = st.sampled_from(["a", "b", "ab", "ba", "aa", "aba"])
+    morphs = draw(st.lists(pieces, min_size=1, max_size=4))
+    bases = draw(st.lists(pieces.map(str.upper), min_size=1, max_size=3))
+    tags = draw(st.lists(st.sampled_from(["PL", "GEN"]), max_size=2))
+    return morphs, GoldEntry(tuple(bases + tags), len(bases))
+
+
+@given(string_match_instances())
+@settings(max_examples=150, deadline=None)
+def test_string_match_path_is_a_best_full_coverage_path(instance):
+    morphs, entry = instance
+    m, n = len(morphs), len(entry.labels)
+
+    def cost(i, j):
+        return _negated_similarity(morphs[i], entry.labels[j]) if j < entry.base_count else 0.0
+
+    def total(path):
+        bits = 0.0
+        for i, j in path:
+            bits = bits + cost(i, j)
+        return bits
+
+    pairs = _string_match_align(morphs, entry)
+    assert pairs[0] == (0, 0) and pairs[-1] == (m - 1, n - 1)
+    for (i0, j0), (i1, j1) in zip(pairs, pairs[1:]):
+        assert (i1 - i0, j1 - j0) in {(1, 1), (1, 0), (0, 1)}
+    assert total(pairs) == min(total(path) for path in oracles.iter_alignment_paths(m, n))
 
 
 # -- EM distance fitting -------------------------------------------------------

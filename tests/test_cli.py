@@ -140,6 +140,28 @@ def test_train_seq_ml_rejects_unusable_lambda(workdir, lam):
     assert not (workdir / "m").exists()
 
 
+@pytest.mark.parametrize(
+    "method, option, value",
+    [
+        ("seq-ml", "--lambda", "0"),
+        ("seq-ml", "--iterations", "0"),
+        ("rec-mdl", "--dream-interval", "-1"),
+        ("rec-mdl", "--char-bits", "2"),
+    ],
+)
+def test_train_checks_options_before_reading_the_corpus(workdir, method, option, value):
+    code = main(
+        [
+            "train", "--method", method,
+            "--corpus", str(workdir / "missing.txt"),
+            "--model", str(workdir / "m"),
+            option, value,
+        ]
+    )
+    assert code == 2
+    assert not (workdir / "m").exists()
+
+
 def test_unknown_option_exits_2(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])

@@ -139,6 +139,28 @@ def test_viterbi_matches_exhaustive_search(instance):
     assert "".join(morphs) == word
 
 
+@pytest.mark.parametrize(
+    "word, counts, expected",
+    [
+        # equal terms in another order; float prefix sums a ulp apart once
+        # made the DP keep aa aa a bba
+        ("aaaaabba", {"a": 9, "aa": 19, "aaabb": 1, "aab": 8, "aabb": 5, "b": 12, "bb": 7,
+                      "bba": 9}, ["a", "aa", "aa", "bba"]),
+        # the float totals of abaabab a a and ab aababa a are equal, but the
+        # exact term sums are 2**-51 apart in favour of the first
+        ("abaababaa", {"a": 8, "aababa": 14, "ab": 4, "abaab": 4, "abaabab": 7, "ababaa": 4,
+                       "b": 13, "baabab": 7, "bab": 17}, ["abaabab", "a", "a"]),
+        # equal terms in another order; the DP once kept a bbb b a
+        ("abbbba", {"a": 10, "b": 19, "bb": 14, "bbb": 13}, ["a", "b", "bbb", "a"]),
+    ],
+)
+def test_viterbi_compares_costs_exactly(word, counts, expected):
+    stats = MorphStats(counts, sum(counts.values()), {})
+    morphs, cost = viterbi_segment(word, stats)
+    assert morphs == expected
+    assert oracles.exhaustive_viterbi(word, stats) == (expected, cost)
+
+
 def test_reject_fixtures():
     assert reject(["halua", "n"], {}) is None
     assert reject(["halu", "a", "n"], {}) == "one-letter-sequence"
