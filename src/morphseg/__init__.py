@@ -4,49 +4,8 @@ Two segmentation methods over raw word corpora: an online recursive MDL
 segmenter built on a hierarchical chunk store, and a batch Viterbi-EM
 maximum-likelihood segmenter. Discovered segmentations are scored against
 reference morphological analyses through an EM-refined alignment distance.
+Each name is imported from the module that defines it, for instance
+``from morphseg.ml import train_em``.
 """
-
-from .align import (
-    DistanceTable,
-    EvalResult,
-    GoldEntry,
-    align_word,
-    em_align,
-    evaluate,
-    format_alignment,
-    load_gold,
-    load_tag_filter,
-    parse_gold,
-    score_segmentation,
-)
-from .corpus import (
-    ALPHABETS,
-    Corpus,
-    PreprocessConfig,
-    load_corpus,
-    read_corpus,
-    split_corpus,
-    truncate,
-)
-from .errors import (
-    CorpusSizeError,
-    EmptyCorpusError,
-    GoldParseError,
-    ModelFormatError,
-    MorphsegError,
-    NotTrainedError,
-    UnsegmentableError,
-)
-from .mdl import Chunk, ChunkStore, MdlConfig, MdlCost, train_online
-from .ml import (
-    MorphStats,
-    ml_cost,
-    poisson,
-    random_segment,
-    reject,
-    train_em,
-    viterbi_segment,
-)
-from .report import MetricsReport, build_report, format_comparison
 
 __version__ = "0.1.0"

@@ -191,6 +191,12 @@ def _tally(pair_counts, morphs, labels, pairs, weight):
         pair_counts[pair] += weight
 
 
+def check_max_distance(max_distance):
+    """ValueError unless max_distance is None (derive it) or finite and non-negative."""
+    if max_distance is not None and not 0.0 <= max_distance < math.inf:  # also false for nan
+        raise ValueError("max distance must be finite and non-negative, got %r" % (max_distance,))
+
+
 def _build_table(pair_counts, morph_counts, extra, max_distance):
     distances = {}
     for (morph, label), c in pair_counts.items():
@@ -234,6 +240,7 @@ def em_align(
     """
     if max_iters < 1:
         raise ValueError("need at least one iteration")
+    check_max_distance(max_distance)
     words = []
     for word in segmented:
         if word in gold:

@@ -171,14 +171,17 @@ def cmd_train(args):
     if args.train_tokens is not None:
         corpus = truncate(corpus, args.train_tokens)
     if args.method == "rec-mdl":
-        store = _train_rec_mdl(config, corpus, args.cost_curve)
-        io.save_mdl_model(store, args.model)
-        morphs, bits = store.codebook_size(), store.tracked_cost
+        model = _train_rec_mdl(config, corpus, args.cost_curve)
+        io.save_mdl_model(model, args.model)
     else:
-        _, stats = _train_seq_ml(args, corpus)
-        io.save_ml_model(stats, args.model)
-        morphs, bits = len(stats.counts), stats.corpus_bits()
-    _logger.info("trained on %d tokens: %d morphs, %.1f bits", len(corpus), morphs, bits)
+        _, model = _train_seq_ml(args, corpus)
+        io.save_ml_model(model, args.model)
+    # the cost on the scale of compare's report: corpus plus codebook bits
+    row = report.build_report(model, char_bits=args.char_bits)
+    _logger.info(
+        "trained on %d tokens: %d morphs, %.1f bits",
+        len(corpus), row.codebook_morphs, row.total_cost_bits,
+    )
     return 0
 
 
@@ -202,16 +205,31 @@ def _segment_with(model, word):
 
 
 def _read_words(path, lowercase):
-    """The stripped non-blank lines of a word list; tokens of a type share one string."""
+    """The stripped non-blank lines of a word list; tokens of a type share one string.
+
+    Raises MorphsegError, naming the line, for a word with whitespace inside
+    it; each word type is checked once, when its string is first kept.
+    """
     kept = {}
     words = []
+    blank = 0  # lines skipped so far; with len(words) it numbers the line
     with open(path, encoding="utf-8") as f:
         for line in f:
             word = line.strip()
-            if word:
-                if lowercase:
-                    word = word.lower()
-                words.append(kept.setdefault(word, word))
+            if not word:
+                blank += 1
+                continue
+            if lowercase:
+                word = word.lower()
+            try:
+                words.append(kept[word])
+            except KeyError:  # a new type
+                if len(word.split()) > 1:
+                    raise MorphsegError(
+                        "%s line %d: whitespace inside word %r" % (path, len(words) + blank + 1, word)
+                    ) from None
+                kept[word] = word
+                words.append(word)
     return words
 
 
@@ -258,6 +276,7 @@ def _counts_for(segmentation, path):
 
 
 def cmd_eval(args):
+    align.check_max_distance(args.max_distance)
     train_seg = io.load_segmentation(args.train_seg)
     test_seg = io.load_segmentation(args.test_seg)
     tag_filter = align.load_tag_filter(args.tags) if args.tags else None
@@ -342,6 +361,7 @@ def _compare_method(args, run, prefix, train, test, gold, out_dir):
 
 def cmd_compare(args):
     pre, config = _checked_options(args, ("rec-mdl", "seq-ml"))
+    align.check_max_distance(args.max_distance)
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = None

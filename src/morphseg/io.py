@@ -20,7 +20,7 @@ import sys
 from .errors import ModelFormatError, MorphsegError
 from .mdl import ChunkStore, Chunk
 from .ml import MorphStats
-from .align import DistanceTable
+from .align import DistanceTable, check_max_distance
 
 MDL_FORMAT = "morphseg-mdl"
 ML_FORMAT = "morphseg-ml"
@@ -218,6 +218,7 @@ def load_distance_table(path):
     params, records = _read(path, DIST_FORMAT, 3)
     try:
         max_distance = float(params["max_distance"])
+        check_max_distance(max_distance)
     except (KeyError, ValueError):
         raise ModelFormatError("%s: missing or bad max_distance" % (path,)) from None
 

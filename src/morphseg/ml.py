@@ -32,11 +32,16 @@ class MorphStats:
     counts: morph -> number of morph tokens across the corpus.
     total: sum of counts.
     type_usage: morph -> number of distinct word types using it.
+    longest: length of the longest morph, set from counts at construction.
     """
 
     counts: dict
     total: int
     type_usage: dict
+    longest: int = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.longest = max(map(len, self.counts), default=0)
 
     @classmethod
     def from_segmentation(cls, segmentation, type_counts):
@@ -144,9 +149,10 @@ def viterbi_segment(word, stats):
     # state per prefix length: (float cost, morph count, boundary tuple)
     best = [None] * (n + 1)
     best[0] = (0.0, 0, ())
+    longest = stats.longest  # no longer substring can be a known morph
     for end in range(1, n + 1):
         winner = None
-        for start in range(end):
+        for start in range(end - longest if end > longest else 0, end):
             prev = best[start]
             if prev is None:
                 continue

@@ -266,6 +266,13 @@ def test_em_align_max_distance_override():
         em_align(segmented, gold, counts, max_distance=1.0)
 
 
+@pytest.mark.parametrize("max_distance", [math.nan, math.inf, -1.0])
+def test_em_align_rejects_unusable_max_distance_before_any_work(max_distance):
+    # an empty segmentation fails only later, as a data error
+    with pytest.raises(ValueError, match="max distance"):
+        em_align({}, {}, {}, max_distance=max_distance)
+
+
 def test_em_align_token_weighting():
     segmented, gold, _ = plural_fixture()
     counts = {"cats": 6, "dogs": 1, "birds": 1, "kings": 2}

@@ -1,8 +1,11 @@
 import json
 import logging
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphseg import cli, io, ml, synth
 from morphseg.cli import build_parser, main
@@ -301,6 +304,48 @@ def test_segment_out_file_equals_stdout(workdir, capsys, method):
     assert stdout.count("\n") == len(_SEGMENT_WORDS) + 1
 
 
+@pytest.mark.parametrize("method", ["rec-mdl", "seq-ml"])
+@pytest.mark.parametrize("line", ["well known", "walk\ted"])
+def test_segment_rejects_whitespace_inside_a_word(workdir, capsys, method, line):
+    model = workdir / "model"
+    _train(workdir, method, model, ["--iterations", "1"] if method == "seq-ml" else [])
+    words = workdir / "words.txt"
+    words.write_text("times\n\nwalked\n%s\ntimes\n" % line, encoding="utf-8")
+    out_path = workdir / "seg.tsv"
+    argv = ["segment", "--model", str(model), "--words", str(words), "--out", str(out_path)]
+    assert main(argv) == 3
+    assert "%s line 4: whitespace inside word" % words in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+_WORD_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["", " ", "\t", " \t "]),
+        st.text(alphabet="aAbB", max_size=3),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ),
+    max_size=12,
+)
+
+
+@given(_WORD_LINES, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_read_words_matches_a_per_line_reference(lines, lowercase):
+    text = "".join("".join(parts) for parts in lines)
+    expected = [word.lower() if lowercase else word for _, word, _, _ in lines if word]
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        words = cli._read_words(path, lowercase)
+    finally:
+        os.unlink(path)
+    assert words == expected
+    # tokens of one type, case variants included when lowercasing, share one string
+    assert len({id(w) for w in words}) == len(set(words))
+
+
 def test_segment_rejects_non_model_files(workdir):
     seg_file = workdir / "not_a_model.tsv"
     io.save_segmentation({"a": ["a"]}, seg_file)
@@ -409,6 +454,15 @@ def test_eval_rejects_too_small_max_distance(tmp_path, capsys):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_eval_rejects_unusable_max_distance_before_reading(tmp_path, capsys, value):
+    missing = str(tmp_path / "missing.tsv")
+    argv = ["eval", "--train-seg", missing, "--test-seg", missing, "--gold", missing,
+            "--max-distance", value]
+    assert main(argv) == 2
+    assert "max distance must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_eval_missing_file_is_a_data_error(tmp_path):
@@ -591,6 +645,14 @@ def test_compare_checks_seq_ml_options_before_training(workdir, monkeypatch, ext
 
     monkeypatch.setattr(cli.mdl, "train_online", no_training)
     assert main(_compare_argv(workdir, *extra)) == 2
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_compare_rejects_unusable_max_distance_before_reading(workdir, capsys, value):
+    (workdir / "corpus.txt").unlink()
+    assert main(_compare_argv(workdir, "--max-distance", value)) == 2
+    assert "max distance must be finite and non-negative" in capsys.readouterr().err
     assert not (workdir / "run").exists()
 
 

@@ -250,6 +250,14 @@ def test_distance_table_roundtrip_preserves_full_precision(tmp_path):
     assert loaded.max_distance == table.max_distance
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
+def test_distance_table_rejects_unusable_max_distance(tmp_path, bad):
+    path = tmp_path / "d.tsv"
+    _write_lines(path, ["morphseg-dist v1 max_distance=%s" % bad, "a\tA\t1.0"])
+    with pytest.raises(ModelFormatError, match="max_distance"):
+        io.load_distance_table(path)
+
+
 def test_distance_table_rejects_bad_floats(tmp_path):
     path = tmp_path / "d.tsv"
     _write_lines(path, ["morphseg-dist v1 max_distance=ten", "a\tA\t1.0"])

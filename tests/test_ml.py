@@ -161,6 +161,45 @@ def test_viterbi_compares_costs_exactly(word, counts, expected):
     assert oracles.exhaustive_viterbi(word, stats) == (expected, cost)
 
 
+@st.composite
+def long_word_instances(draw):
+    """A word longer than every known morph, with counts for its short substrings."""
+    longest = draw(st.integers(min_value=1, max_value=3))
+    word = draw(st.text(alphabet="ab", min_size=longest + 1, max_size=12))
+    pool = sorted({word[i : i + k] for k in range(1, longest + 1) for i in range(len(word) - k + 1)})
+    counts = {s: draw(st.integers(min_value=1, max_value=30)) for s in pool}
+    return word, MorphStats(counts, sum(counts.values()), {})
+
+
+@given(long_word_instances())
+@settings(max_examples=80, deadline=None)
+def test_viterbi_on_words_longer_than_every_morph(instance):
+    word, stats = instance
+    assert stats.longest == max(map(len, stats.counts)) < len(word)
+    assert viterbi_segment(word, stats) == oracles.exhaustive_viterbi(word, stats)
+
+
+class _CountingGets(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_viterbi_looks_up_only_substrings_within_the_longest_morph(n):
+    counts = _CountingGets({"a": 5, "b": 4, "ab": 3, "aba": 2})
+    stats = MorphStats(counts, sum(counts.values()), {})
+    assert stats.longest == 3
+    word = ("ab" * n)[:n]
+    morphs, _ = viterbi_segment(word, stats)
+    assert "".join(morphs) == word
+    assert counts.gets <= n * stats.longest
+
+
 def test_reject_fixtures():
     assert reject(["halua", "n"], {}) is None
     assert reject(["halu", "a", "n"], {}) == "one-letter-sequence"
