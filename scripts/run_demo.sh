@@ -1,5 +1,7 @@
 #!/bin/sh
-# End-to-end demo: synthesize a corpus, compare both methods, inspect files.
+# End-to-end demo: synthesize a corpus, then run every morphseg subcommand on
+# it (compare both methods, train each method, segment the held-out words with
+# each model, evaluate one method's segmentations) and list the files written.
 set -e
 
 DIR="${1:-demo_run}"
@@ -14,6 +16,26 @@ morphseg compare \
     --gold "$DIR/gold.tsv" --tags "$DIR/tags.txt" \
     --seed 42 --out-dir "$DIR/out" --cost-curve "$DIR/out/curve.csv"
 
+mkdir -p "$DIR/train"
+morphseg train --method rec-mdl --corpus "$DIR/corpus.txt" --train-tokens 30000 \
+    --seed 42 --model "$DIR/train/rec_mdl.model" --cost-curve "$DIR/train/curve.csv"
+morphseg train --method seq-ml --corpus "$DIR/corpus.txt" --train-tokens 30000 \
+    --seed 42 --model "$DIR/train/seq_ml.model"
+
+# the held-out word types, one per line, from compare's test segmentation
+tail -n +2 "$DIR/out/seq_ml.test_seg.tsv" | cut -f1 > "$DIR/train/test_words.txt"
+for method in rec_mdl seq_ml; do
+    morphseg segment --model "$DIR/train/$method.model" \
+        --words "$DIR/train/test_words.txt" --out "$DIR/train/$method.test_seg.tsv"
+done
+
+morphseg eval --train-seg "$DIR/out/seq_ml.train_seg.tsv" \
+    --test-seg "$DIR/train/seq_ml.test_seg.tsv" \
+    --gold "$DIR/gold.tsv" --tags "$DIR/tags.txt" \
+    --out "$DIR/train/seq_ml.eval.json" --dump-alignments "$DIR/train/seq_ml.alignments.txt"
+
 echo
 echo "artifacts in $DIR/out:"
 ls "$DIR/out"
+echo "artifacts in $DIR/train:"
+ls "$DIR/train"

@@ -223,7 +223,6 @@ def em_align(
     tol=DEFAULT_EM_TOL,
     extra_distance=DEFAULT_EXTRA_DISTANCE,
     max_distance=None,
-    distance_log=None,
 ):
     """Fit a DistanceTable to segmented words with reference analyses.
 
@@ -235,8 +234,7 @@ def em_align(
     pair counts of the next table as soon as it is found. A word token
     containing morph M counts once toward c(M), which no realignment
     changes. Words without a reference analysis are skipped with a warning.
-    distance_log, if given, is appended with the total distance after each
-    realignment.
+    Each realignment logs one INFO record with args (iteration, total bits).
     """
     if max_iters < 1:
         raise ValueError("need at least one iteration")
@@ -259,7 +257,7 @@ def em_align(
             morph_counts[morph] += weight
         _tally(pair_counts, morphs, entry.labels, _string_match_align(morphs, entry), weight)
     prev_total = None
-    for _ in range(max_iters):
+    for it in range(max_iters):
         table = _build_table(pair_counts, morph_counts, extra_distance, max_distance)
         pair_counts = collections.Counter()
         total = 0.0
@@ -268,8 +266,7 @@ def em_align(
             pairs, bits = align_word(morphs, labels, table)
             _tally(pair_counts, morphs, labels, pairs, weight)
             total += weight * bits
-        if distance_log is not None:
-            distance_log.append(total)
+        _logger.info("alignment EM iteration %d: %.1f bits", it + 1, total)
         if prev_total is not None and prev_total - total < tol * max(prev_total, 1e-12):
             break
         prev_total = total

@@ -126,6 +126,8 @@ def _checked_options(args, methods):
     alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
     pre = PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
     config = None
+    if args.cost_curve and "rec-mdl" not in methods:
+        raise UsageError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     if "rec-mdl" in methods:
         if len(pre.alphabet) > 2 ** args.char_bits:
             raise UsageError(
@@ -277,6 +279,8 @@ def _counts_for(segmentation, path):
 
 def cmd_eval(args):
     align.check_max_distance(args.max_distance)
+    if args.em_iterations < 1:
+        raise UsageError("need at least one alignment EM iteration")
     train_seg = io.load_segmentation(args.train_seg)
     test_seg = io.load_segmentation(args.test_seg)
     tag_filter = align.load_tag_filter(args.tags) if args.tags else None

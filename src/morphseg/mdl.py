@@ -404,13 +404,13 @@ class ChunkStore:
     __hash__ = None
 
 
-def train_online(corpus, config=None, curve=None, dream_log=None):
+def train_online(corpus, config=None, curve=None):
     """Feed a corpus through a fresh ChunkStore token by token.
 
     curve, if given, is appended with (tokens_processed, avg_word_cost_bits)
-    checkpoints every CURVE_INTERVAL tokens and after each dreaming event;
-    dream_log with (tokens_processed, cost_before, cost_after) per dreaming
-    event.
+    checkpoints every CURVE_INTERVAL tokens and after each dreaming event.
+    Each dreaming event logs one INFO record with args (tokens_processed,
+    cost_before, cost_after).
     """
     config = config or MdlConfig()
     store = ChunkStore(config.char_bits)
@@ -428,8 +428,6 @@ def train_online(corpus, config=None, curve=None, dream_log=None):
             _logger.info(
                 "dreaming at %d tokens: %.1f -> %.1f bits", n, before, after
             )
-            if dream_log is not None:
-                dream_log.append((n, before, after))
             if curve is not None:
                 curve.append((n, after / n))
     if curve is not None and (not curve or curve[-1][0] != n):

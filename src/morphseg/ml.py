@@ -195,25 +195,21 @@ def reject(morphs, prev_type_usage):
     return None
 
 
-def ml_cost(segmentation, corpus):
-    """Corpus cost in bits of a segmentation under its own ML estimates."""
-    return MorphStats.from_segmentation(segmentation, corpus.type_counts).corpus_bits()
-
-
 def train_em(
     corpus,
     iterations=10,
     rng=None,
     mean_interval=DEFAULT_INTERVAL_MEAN,
     use_rejection=True,
-    cost_log=None,
 ):
     """Segment all corpus word types by iterated Viterbi re-estimation.
 
     Returns (segmentation dict, MorphStats of the final segmentation).
     With use_rejection, dubious Viterbi outputs are replaced by fresh
     random segmentations except on the final iteration; with it off the
-    per-iteration ml_cost is non-increasing.
+    corpus bits logged after each iteration never increase. Each iteration
+    logs one INFO record with args (iteration, morphs, corpus bits,
+    rejected, unsegmentable).
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -221,15 +217,16 @@ def train_em(
     segmentation = {
         word: random_segment(word, rng, mean_interval) for word in corpus.type_counts
     }
+    stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
     for it in range(iterations):
         final = it == iterations - 1
-        stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
         resegmented = {}
-        rejected = 0
+        rejected = unsegmentable = 0
         for word in segmentation:
             try:
                 morphs, _ = viterbi_segment(word, stats)
             except UnsegmentableError:
+                unsegmentable += 1
                 if final or not use_rejection:
                     resegmented[word] = segmentation[word]
                 else:
@@ -242,8 +239,9 @@ def train_em(
                     rejected += 1
             resegmented[word] = morphs
         segmentation = resegmented
-        if cost_log is not None:
-            cost_log.append(ml_cost(segmentation, corpus))
-        if rejected:
-            _logger.info("iteration %d: %d segmentations rejected", it + 1, rejected)
-    return segmentation, MorphStats.from_segmentation(segmentation, corpus.type_counts)
+        stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
+        _logger.info(
+            "seq-ml iteration %d: %d morphs, %.1f corpus bits, %d rejected, %d unsegmentable",
+            it + 1, len(stats.counts), stats.corpus_bits(), rejected, unsegmentable,
+        )
+    return segmentation, stats

@@ -1,3 +1,4 @@
+import logging
 import sys
 from pathlib import Path
 
@@ -13,6 +14,11 @@ def synthetic_corpus(n_tokens, seed=0):
     """(Corpus, gold dict lines, affix tags) from the bundled generator."""
     tokens, gold_lines, tags = synth.generate(n_tokens, seed=seed)
     return Corpus.from_tokens(tokens), gold_lines, tags
+
+
+def logged_args(caplog, logger):
+    """The args of each INFO record the named logger emitted, in order."""
+    return [r.args for r in caplog.records if r.name == logger and r.levelno == logging.INFO]
 
 
 @pytest.fixture

@@ -7,13 +7,14 @@ reference implementations.
 """
 
 import json
+import logging
 import random
 import time
 
 import pytest
 
 import oracles
-from conftest import synthetic_corpus
+from conftest import logged_args, synthetic_corpus
 from morphseg import io
 from morphseg.align import DistanceTable, align_word, evaluate, parse_gold, score_segmentation
 from morphseg.cli import main as cli_main
@@ -120,19 +121,14 @@ def test_03_alignment_dp_matches_brute_force(capsys):
     _verdict(capsys, "03 alignment DP equals brute force on 500 instances", body)
 
 
-def test_04_em_cost_is_non_increasing_without_rejection(capsys):
+def test_04_em_cost_is_non_increasing_without_rejection(capsys, caplog):
     def body():
         corpus, _, _ = synthetic_corpus(5000, seed=44)
-        log = []
         t0 = time.perf_counter()
-        train_em(
-            corpus,
-            iterations=10,
-            rng=random.Random(4),
-            use_rejection=False,
-            cost_log=log,
-        )
+        with caplog.at_level(logging.INFO, logger="morphseg.ml"):
+            train_em(corpus, iterations=10, rng=random.Random(4), use_rejection=False)
         elapsed = time.perf_counter() - t0
+        log = [corpus_bits for _, _, corpus_bits, _, _ in logged_args(caplog, "morphseg.ml")]
         assert len(log) == 10
         for earlier, later in zip(log, log[1:]):
             assert later <= earlier + 1e-9, log
@@ -161,14 +157,15 @@ def test_06_poisson_sampler_mean(capsys):
     _verdict(capsys, "06 poisson mean of 100k draws is within [5.4, 5.6]", body)
 
 
-def test_07_dreaming_lowers_average_word_cost(capsys, tmp_path):
+def test_07_dreaming_lowers_average_word_cost(capsys, caplog, tmp_path):
     def body():
         corpus, _, _ = synthetic_corpus(50000, seed=7)
         curve = []
-        dream_log = []
         t0 = time.perf_counter()
-        train_online(corpus, MdlConfig(), curve=curve, dream_log=dream_log)
+        with caplog.at_level(logging.INFO, logger="morphseg.mdl"):
+            train_online(corpus, MdlConfig(), curve=curve)
         elapsed = time.perf_counter() - t0
+        dream_log = logged_args(caplog, "morphseg.mdl")
         assert dream_log, "no dreaming events in 50k tokens"
         n_first, before_first, _ = dream_log[0]
         n_last, _, after_last = dream_log[-1]

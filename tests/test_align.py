@@ -2,9 +2,10 @@ import logging
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
+from conftest import logged_args
 from morphseg.align import (
     DEFAULT_EXTRA_DISTANCE,
     DistanceTable,
@@ -309,16 +310,22 @@ def test_em_align_requires_an_iteration():
         em_align(segmented, gold, counts, max_iters=0)
 
 
-def test_em_align_training_distance_is_monotone():
+def _distance_log(caplog):
+    """The total bits of each alignment EM iteration caplog holds."""
+    return [total for _, total in logged_args(caplog, "morphseg.align")]
+
+
+def test_em_align_training_distance_is_monotone(caplog):
     segmented, gold, counts = plural_fixture()
-    log = []
-    em_align(segmented, gold, counts, distance_log=log)
+    with caplog.at_level(logging.INFO, logger="morphseg.align"):
+        em_align(segmented, gold, counts)
+    log = _distance_log(caplog)
     assert log
     for earlier, later in zip(log, log[1:]):
         assert later <= earlier + 1e-9
 
 
-def test_em_align_monotone_for_model_segmentations():
+def test_em_align_monotone_for_model_segmentations(caplog):
     # strict per-iteration monotonicity is not a theorem under per-token
     # pair counting (a morph repeated inside one word decouples the cell
     # charges from the counts), but it holds for the consistent morph
@@ -333,8 +340,10 @@ def test_em_align_monotone_for_model_segmentations():
         gold = parse_gold(gold_lines, tag_filter=set(tags))
         store = train_online(corpus, MdlConfig(dream_interval=1000, seed=seed))
         segmented = {w: store.segment_word(w) for w in corpus.type_counts}
-        log = []
-        em_align(segmented, gold, corpus.type_counts, distance_log=log)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="morphseg.align"):
+            em_align(segmented, gold, corpus.type_counts)
+        log = _distance_log(caplog)
         for earlier, later in zip(log, log[1:]):
             assert later <= earlier + 1e-9 * max(earlier, 1.0)
 
@@ -348,8 +357,8 @@ def test_em_align_monotone_for_model_segmentations():
     ),
     st.integers(min_value=0, max_value=2 ** 30),
 )
-@settings(max_examples=40, deadline=None)
-def test_em_align_stops_once_improvement_stalls(type_counts, seed):
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_em_align_stops_once_improvement_stalls(caplog, type_counts, seed):
     import random
 
     rng = random.Random(seed)
@@ -362,8 +371,10 @@ def test_em_align_stops_once_improvement_stalls(type_counts, seed):
         tag = rng.choice(["PL", "GEN", "SG3"])
         gold_lines.append("%s\t%s %s" % (word, label, tag))
     gold = parse_gold(gold_lines)
-    log = []
-    em_align(segmented, gold, type_counts, max_iters=10, tol=1e-4, distance_log=log)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="morphseg.align"):
+        em_align(segmented, gold, type_counts, max_iters=10, tol=1e-4)
+    log = _distance_log(caplog)
     assert 1 <= len(log) <= 10
     # every round but the last must have cleared the improvement threshold
     for earlier, later in zip(log[:-1], log[1:-1]):
@@ -402,14 +413,16 @@ def em_instances(draw):
     st.sampled_from([0.0, 1e-4, 0.05]),
     st.sampled_from([None, 60.0]),
 )
-@settings(max_examples=150, deadline=None)
-def test_em_align_equals_the_keep_every_path_oracle(instance, max_iters, tol, max_distance):
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_em_align_equals_the_keep_every_path_oracle(caplog, instance, max_iters, tol, max_distance):
     segmented, gold, counts = instance
-    log, expected_log = [], []
-    table = em_align(
-        segmented, gold, counts, max_iters=max_iters, tol=tol,
-        max_distance=max_distance, distance_log=log,
-    )
+    expected_log = []
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="morphseg.align"):
+        table = em_align(
+            segmented, gold, counts, max_iters=max_iters, tol=tol, max_distance=max_distance,
+        )
+    log = _distance_log(caplog)
     expected = oracles.em_align_keeping_paths(
         segmented, gold, counts, max_iters, tol, DEFAULT_EXTRA_DISTANCE, max_distance, expected_log
     )

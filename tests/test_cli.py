@@ -148,6 +148,7 @@ def test_train_seq_ml_rejects_unusable_lambda(workdir, lam):
     [
         ("seq-ml", "--lambda", "0"),
         ("seq-ml", "--iterations", "0"),
+        ("seq-ml", "--cost-curve", "curve.csv"),  # the curve is rec-mdl's
         ("rec-mdl", "--dream-interval", "-1"),
         ("rec-mdl", "--char-bits", "2"),
     ],
@@ -524,9 +525,11 @@ def _eval_argv(seg_path, gold_path, *extra):
             "--gold", str(gold_path)] + list(extra)
 
 
-def test_eval_rejects_zero_em_iterations(tmp_path):
-    seg_path, gold_path = eval_fixture(tmp_path)
-    assert main(_eval_argv(seg_path, gold_path, "--em-iterations", "0")) == 2
+def test_eval_rejects_zero_em_iterations(tmp_path, capsys):
+    # before any input is read: the files do not exist
+    missing = tmp_path / "missing.tsv"
+    assert main(_eval_argv(missing, missing, "--em-iterations", "0")) == 2
+    assert "need at least one alignment EM iteration" in capsys.readouterr().err
 
 
 def test_eval_test_counts_missing_a_scored_word_is_a_data_error(tmp_path, capsys):

@@ -383,3 +383,40 @@ def test_sniff_format(tmp_path, tiny_corpus):
     io.save_ml_model(MorphStats({"a": 1}, 1, {}), ml_path)
     assert io.sniff_format(mdl_path) == "morphseg-mdl"
     assert io.sniff_format(ml_path) == "morphseg-ml"
+
+
+# -- line ends ---------------------------------------------------------------
+
+
+_HEADED_FILES = {
+    "mdl": (
+        io.save_mdl_model,
+        io.load_mdl_model,
+        lambda corpus: train_online(corpus, MdlConfig(dream_interval=4)),
+    ),
+    "ml": (io.save_ml_model, io.load_ml_model, lambda corpus: MorphStats({"cat": 2, "s": 1}, 3, {})),
+    "seg": (
+        io.save_segmentation,
+        io.load_segmentation,
+        lambda corpus: {"cats": ["cat", "s"], "dog": ["dog"]},
+    ),
+    "dist": (
+        io.save_distance_table,
+        io.load_distance_table,
+        lambda corpus: DistanceTable({("cat", "CAT"): 0.0, ("s", "PL"): 0.415}, 10.415),
+    ),
+    "counts": (io.save_word_counts, io.load_word_counts, lambda corpus: corpus.type_counts),
+    "curve": (io.write_cost_curve, io.read_cost_curve, lambda corpus: [(2000, 11.6), (2500, 10.5)]),
+}
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("kind", sorted(_HEADED_FILES))
+def test_headed_loaders_read_crlf_files_as_lf_files(tmp_path, tiny_corpus, kind, line_end):
+    save, load, make = _HEADED_FILES[kind]
+    lf_path, other_path = tmp_path / "lf", tmp_path / "other"
+    save(make(tiny_corpus), lf_path)
+    lf_bytes = lf_path.read_bytes()
+    assert b"\r" not in lf_bytes
+    other_path.write_bytes(lf_bytes.replace(b"\n", line_end))
+    assert load(other_path) == load(lf_path)

@@ -1,9 +1,11 @@
+import logging
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import logged_args
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, NotTrainedError
 from morphseg.mdl import ChunkStore, MdlConfig, _NeumaierSum, train_online
@@ -185,15 +187,16 @@ def test_train_online_is_deterministic(tiny_corpus):
     assert a == b
 
 
-def test_train_online_curve_and_dream_log():
+def test_train_online_curve_and_dream_log(caplog):
     from morphseg import synth
 
     tokens, _, _ = synth.generate(5000, seed=0)
     corpus = Corpus.from_tokens(tokens)
     curve = []
-    dream_log = []
     config = MdlConfig(dream_interval=2000)
-    store = train_online(corpus, config, curve=curve, dream_log=dream_log)
+    with caplog.at_level(logging.INFO, logger="morphseg.mdl"):
+        store = train_online(corpus, config, curve=curve)
+    dream_log = logged_args(caplog, "morphseg.mdl")
 
     assert [n for n, _, _ in dream_log] == [2000, 4000]
     for n, before, after in dream_log:

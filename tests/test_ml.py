@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import logged_args
+from morphseg import ml
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, UnsegmentableError
 from morphseg.ml import (
     MorphStats,
-    ml_cost,
     poisson,
     random_segment,
     reject,
@@ -224,9 +226,9 @@ def test_morph_stats_from_segmentation():
 
 def test_ml_cost():
     corpus = Corpus.from_tokens(["ab", "ab"])
-    assert ml_cost({"ab": ["a", "b"]}, corpus) == 4.0
+    assert MorphStats.from_segmentation({"ab": ["a", "b"]}, corpus.type_counts).corpus_bits() == 4.0
     with pytest.raises(MorphsegError):
-        ml_cost({}, corpus)
+        MorphStats.from_segmentation({}, corpus.type_counts)
 
 
 def test_train_em_requires_an_iteration(tiny_corpus):
@@ -259,16 +261,66 @@ def test_train_em_is_deterministic(tiny_corpus):
     assert a[1].counts == b[1].counts
 
 
-def test_train_em_cost_log_and_monotonicity_without_rejection():
+def test_train_em_cost_log_and_monotonicity_without_rejection(caplog):
     from morphseg import synth
 
     tokens, _, _ = synth.generate(800, seed=0)
     corpus = Corpus.from_tokens(tokens)
-    log = []
-    train_em(corpus, iterations=6, rng=random.Random(0), use_rejection=False, cost_log=log)
+    with caplog.at_level(logging.INFO, logger="morphseg.ml"):
+        train_em(corpus, iterations=6, rng=random.Random(0), use_rejection=False)
+    log = [corpus_bits for _, _, corpus_bits, _, _ in logged_args(caplog, "morphseg.ml")]
     assert len(log) == 6
     for earlier, later in zip(log, log[1:]):
         assert later <= earlier + 1e-9
+
+
+def test_train_em_estimates_stats_once_per_iteration_plus_once(caplog, monkeypatch, tiny_corpus):
+    built = []
+    estimate = MorphStats.from_segmentation
+
+    def counted(segmentation, type_counts):
+        built.append(estimate(segmentation, type_counts))
+        return built[-1]
+
+    monkeypatch.setattr(MorphStats, "from_segmentation", staticmethod(counted))
+    with caplog.at_level(logging.INFO, logger="morphseg.ml"):
+        _, stats = train_em(tiny_corpus, iterations=4, rng=random.Random(0))
+    assert len(built) == 4 + 1
+    assert stats is built[-1]
+    # each iteration logs the stats of the segmentation it produced
+    logged = [(morphs, bits) for _, morphs, bits, _, _ in logged_args(caplog, "morphseg.ml")]
+    assert logged == [(len(s.counts), s.corpus_bits()) for s in built[1:]]
+
+
+def test_train_em_logs_rejections_and_unsegmentable_words(caplog, monkeypatch):
+    from morphseg import synth
+
+    tokens, _, _ = synth.generate(800, seed=0)
+    corpus = Corpus.from_tokens(tokens)
+    stubborn = min(corpus.type_counts)
+    rejections = []
+
+    def counted_reject(morphs, prev_type_usage):
+        reason = reject(morphs, prev_type_usage)
+        rejections.append(bool(reason))
+        return reason
+
+    def failing_viterbi(word, stats):
+        if word == stubborn:
+            raise UnsegmentableError(word)
+        return viterbi_segment(word, stats)
+
+    monkeypatch.setattr(ml, "reject", counted_reject)
+    monkeypatch.setattr(ml, "viterbi_segment", failing_viterbi)
+    with caplog.at_level(logging.INFO, logger="morphseg.ml"):
+        segmentation, _ = train_em(corpus, iterations=5, rng=random.Random(0))
+    records = logged_args(caplog, "morphseg.ml")
+    assert [it for it, _, _, _, _ in records] == [1, 2, 3, 4, 5]
+    assert [unsegmentable for *_, unsegmentable in records] == [1] * 5
+    rejected = [r for _, _, _, r, _ in records]
+    assert sum(rejected) == sum(rejections) > 0
+    assert rejected[-1] == 0  # the final iteration rejects nothing
+    assert "".join(segmentation[stubborn]) == stubborn
 
 
 @given(
@@ -282,4 +334,4 @@ def test_train_em_output_is_always_a_valid_segmentation(words, seed):
     assert set(segmentation) == set(corpus.type_counts)
     for word, morphs in segmentation.items():
         assert "".join(morphs) == word
-    assert ml_cost(segmentation, corpus) == pytest.approx(stats.corpus_bits(), rel=1e-9)
+    assert MorphStats.from_segmentation(segmentation, corpus.type_counts).counts == stats.counts
