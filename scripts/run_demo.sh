@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end demo: synthesize a corpus, then run every morphseg subcommand on
-# it (compare both methods, train each method, segment the held-out words with
-# each model, evaluate one method's segmentations) and list the files written.
+# it (compare both methods, train each method and check that train writes the
+# same models and cost curve as compare, segment the held-out words with each
+# model, evaluate one method's segmentations) and list the files written.
 set -e
 
 DIR="${1:-demo_run}"
@@ -21,6 +22,11 @@ morphseg train --method rec-mdl --corpus "$DIR/corpus.txt" --train-tokens 30000 
     --seed 42 --model "$DIR/train/rec_mdl.model" --cost-curve "$DIR/train/curve.csv"
 morphseg train --method seq-ml --corpus "$DIR/corpus.txt" --train-tokens 30000 \
     --seed 42 --model "$DIR/train/seq_ml.model"
+
+# train and compare share one training path: their files must be identical
+cmp "$DIR/out/rec_mdl.model" "$DIR/train/rec_mdl.model"
+cmp "$DIR/out/seq_ml.model" "$DIR/train/seq_ml.model"
+cmp "$DIR/out/curve.csv" "$DIR/train/curve.csv"
 
 # the held-out word types, one per line, from compare's test segmentation
 tail -n +2 "$DIR/out/seq_ml.test_seg.tsv" | cut -f1 > "$DIR/train/test_words.txt"

@@ -6,7 +6,6 @@ empty corpora and the like).
 """
 
 import argparse
-import functools
 import json
 import logging
 import random
@@ -147,24 +146,30 @@ def _checked_options(args, methods):
     return pre, config
 
 
-def _train_rec_mdl(config, corpus, cost_curve):
-    """rec-mdl trained with config; writes the cost curve CSV if a path is given."""
-    curve = [] if cost_curve else None
-    store = mdl.train_online(corpus, config, curve=curve)
-    if cost_curve:
-        io.write_cost_curve(curve, cost_curve)
-    return store
-
-
-def _train_seq_ml(args, corpus):
-    """(segmentation, MorphStats) of seq-ml trained as the method options say."""
-    return ml.train_em(
-        corpus,
-        iterations=args.iterations,
-        rng=random.Random(args.seed),
-        mean_interval=args.interval_mean,
-        use_rejection=not args.no_reject,
+def _train(method, args, config, corpus):
+    """(model, training segmentation or None); rec-mdl writes --cost-curve if given.
+    Logs one INFO record, args (method, tokens, morphs, bits of build_report)."""
+    segmentation = None
+    if method == "rec-mdl":
+        curve = [] if args.cost_curve else None
+        model = mdl.train_online(corpus, config, curve=curve)
+        if args.cost_curve:
+            io.write_cost_curve(curve, args.cost_curve)
+    else:
+        segmentation, model = ml.train_em(
+            corpus,
+            iterations=args.iterations,
+            rng=random.Random(args.seed),
+            mean_interval=args.interval_mean,
+            use_rejection=not args.no_reject,
+        )
+    # the cost on the scale of compare's report: corpus plus codebook bits
+    row = report.build_report(model, char_bits=args.char_bits)
+    _logger.info(
+        "%s trained on %d tokens: %d morphs, %.1f bits",
+        method, len(corpus), row.codebook_morphs, row.total_cost_bits,
     )
+    return model, segmentation
 
 
 def cmd_train(args):
@@ -172,18 +177,8 @@ def cmd_train(args):
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
         corpus = truncate(corpus, args.train_tokens)
-    if args.method == "rec-mdl":
-        model = _train_rec_mdl(config, corpus, args.cost_curve)
-        io.save_mdl_model(model, args.model)
-    else:
-        _, model = _train_seq_ml(args, corpus)
-        io.save_ml_model(model, args.model)
-    # the cost on the scale of compare's report: corpus plus codebook bits
-    row = report.build_report(model, char_bits=args.char_bits)
-    _logger.info(
-        "trained on %d tokens: %d morphs, %.1f bits",
-        len(corpus), row.codebook_morphs, row.total_cost_bits,
-    )
+    model, _ = _train(args.method, args, config, corpus)
+    io.save_model(model, args.model)
     return 0
 
 
@@ -253,19 +248,10 @@ def _segment_records(model, words):
 
 
 def cmd_segment(args):
-    model = _load_any_model(args.model)
+    model = io.load_model(args.model)
     words = _read_words(args.words, not args.no_lowercase)
     io.write_records(args.out, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
     return 0
-
-
-def _load_any_model(path):
-    kind = io.sniff_format(path)
-    if kind == io.MDL_FORMAT:
-        return io.load_mdl_model(path)
-    if kind == io.ML_FORMAT:
-        return io.load_ml_model(path)
-    raise MorphsegError("%s: not a model file (header %r)" % (path, kind))
 
 
 # -- eval -------------------------------------------------------------------
@@ -324,32 +310,20 @@ def _segment_types(model, corpus):
 _segment_types_ml = _segment_types
 
 
-def _run_rec_mdl(config, args, train, test, out_dir):
-    """rec-mdl trained, saved and applied: (store, train seg, test seg, training seconds)."""
-    t0 = time.perf_counter()
-    store = _train_rec_mdl(config, train, args.cost_curve)
-    wall_time = time.perf_counter() - t0
-    if out_dir:
-        io.save_mdl_model(store, out_dir / "rec_mdl.model")
-    train_seg = _segment_types(store, train)
-    test_seg = _segment_types(store, test)  # adapts the store to unseen words
-    return store, train_seg, test_seg, wall_time
-
-
-def _run_seq_ml(args, train, test, out_dir):
-    """seq-ml trained, saved and applied: (stats, train seg, test seg, training seconds)."""
-    t0 = time.perf_counter()
-    train_seg, stats = _train_seq_ml(args, train)
-    wall_time = time.perf_counter() - t0
-    if out_dir:
-        io.save_ml_model(stats, out_dir / "seq_ml.model")
-    return stats, train_seg, _segment_types_ml(stats, test), wall_time
-
-
-def _compare_method(args, run, prefix, train, test, gold, out_dir):
+def _compare_method(method, args, config, train, test, gold, out_dir):
     """Report row of one method; its model, segmentations and evaluation
     die with this call, before the next method runs."""
-    model, train_seg, test_seg, wall_time = run(args, train, test, out_dir)
+    t0 = time.perf_counter()
+    model, train_seg = _train(method, args, config, train)
+    wall_time = time.perf_counter() - t0
+    prefix = method.replace("-", "_")
+    if out_dir:
+        io.save_model(model, out_dir / (prefix + ".model"))
+    if method == "rec-mdl":
+        train_seg = _segment_types(model, train)
+        test_seg = _segment_types(model, test)  # adapts the store to unseen words
+    else:
+        test_seg = _segment_types_ml(model, test)
     evaluation = None
     if gold:
         evaluation, _ = align.evaluate(
@@ -378,10 +352,8 @@ def cmd_compare(args):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = [
-        _compare_method(
-            args, functools.partial(_run_rec_mdl, config), "rec_mdl", train, test, gold, out_dir
-        ),
-        _compare_method(args, _run_seq_ml, "seq_ml", train, test, gold, out_dir),
+        _compare_method(method, args, config, train, test, gold, out_dir)
+        for method in ("rec-mdl", "seq-ml")
     ]
     if out_dir:
         report.write_metrics(reports, out_dir / "report.json")

@@ -124,6 +124,24 @@ def sniff_format(path):
     return first.split(" ", 1)[0]
 
 
+def load_model(path):
+    """The model in the file at path, of the kind its header names."""
+    kind = sniff_format(path)
+    if kind == MDL_FORMAT:
+        return load_mdl_model(path)
+    if kind == ML_FORMAT:
+        return load_ml_model(path)
+    raise ModelFormatError("%s: not a model file (header %r)" % (path, kind))
+
+
+def save_model(model, path):
+    """A ChunkStore in the rec-mdl format, a MorphStats in the seq-ml one."""
+    if isinstance(model, ChunkStore):
+        save_mdl_model(model, path)
+    else:
+        save_ml_model(model, path)
+
+
 # -- recursive MDL models ------------------------------------------------
 
 

@@ -209,7 +209,7 @@ def train_em(
     random segmentations except on the final iteration; with it off the
     corpus bits logged after each iteration never increase. Each iteration
     logs one INFO record with args (iteration, morphs, corpus bits,
-    rejected, unsegmentable).
+    rejected).
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -221,17 +221,11 @@ def train_em(
     for it in range(iterations):
         final = it == iterations - 1
         resegmented = {}
-        rejected = unsegmentable = 0
+        rejected = 0
         for word in segmentation:
-            try:
-                morphs, _ = viterbi_segment(word, stats)
-            except UnsegmentableError:
-                unsegmentable += 1
-                if final or not use_rejection:
-                    resegmented[word] = segmentation[word]
-                else:
-                    resegmented[word] = random_segment(word, rng, mean_interval)
-                continue
+            # each of the word's current morphs is a key of stats.counts and
+            # no longer than stats.longest, so some path always exists
+            morphs, _ = viterbi_segment(word, stats)
             if use_rejection and not final:
                 reason = reject(morphs, stats.type_usage)
                 if reason:
@@ -241,7 +235,7 @@ def train_em(
         segmentation = resegmented
         stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
         _logger.info(
-            "seq-ml iteration %d: %d morphs, %.1f corpus bits, %d rejected, %d unsegmentable",
-            it + 1, len(stats.counts), stats.corpus_bits(), rejected, unsegmentable,
+            "seq-ml iteration %d: %d morphs, %.1f corpus bits, %d rejected",
+            it + 1, len(stats.counts), stats.corpus_bits(), rejected,
         )
     return segmentation, stats

@@ -128,7 +128,7 @@ def test_04_em_cost_is_non_increasing_without_rejection(capsys, caplog):
         with caplog.at_level(logging.INFO, logger="morphseg.ml"):
             train_em(corpus, iterations=10, rng=random.Random(4), use_rejection=False)
         elapsed = time.perf_counter() - t0
-        log = [corpus_bits for _, _, corpus_bits, _, _ in logged_args(caplog, "morphseg.ml")]
+        log = [corpus_bits for _, _, corpus_bits, _ in logged_args(caplog, "morphseg.ml")]
         assert len(log) == 10
         for earlier, later in zip(log, log[1:]):
             assert later <= earlier + 1e-9, log

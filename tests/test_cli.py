@@ -7,7 +7,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphseg import cli, io, ml, synth
+from conftest import logged_args
+from morphseg import cli, io, ml, report, synth
 from morphseg.cli import build_parser, main
 from morphseg.errors import UnsegmentableError
 
@@ -347,12 +348,19 @@ def test_read_words_matches_a_per_line_reference(lines, lowercase):
     assert len({id(w) for w in words}) == len(set(words))
 
 
-def test_segment_rejects_non_model_files(workdir):
+def test_segment_rejects_non_model_files(workdir, capsys):
     seg_file = workdir / "not_a_model.tsv"
     io.save_segmentation({"a": ["a"]}, seg_file)
+    empty = workdir / "empty.model"
+    empty.write_text("", encoding="utf-8")
     words = workdir / "words.txt"
     words.write_text("a\n", encoding="utf-8")
-    assert main(["segment", "--model", str(seg_file), "--words", str(words)]) == 3
+    out = workdir / "out.tsv"
+    for model in (seg_file, empty):
+        argv = ["segment", "--model", str(model), "--words", str(words), "--out", str(out)]
+        assert main(argv) == 3
+        assert "%s: not a model file" % model in capsys.readouterr().err
+        assert not out.exists()
 
 
 def eval_fixture(tmp_path):
@@ -599,6 +607,37 @@ def test_compare_pipeline(workdir, capsys):
 
     train_seg = io.load_segmentation(out_dir / "rec_mdl.train_seg.tsv")
     assert all("".join(m) == w for w, m in train_seg.items())
+
+
+def test_train_and_compare_train_each_method_the_same_way(workdir, caplog):
+    common = [
+        "--corpus", str(workdir / "corpus.txt"), "--train-tokens", "900",
+        "--dream-interval", "400", "--iterations", "3", "--seed", "7", "--lambda", "4",
+    ]
+    out_dir = workdir / "run"
+    records = {}
+    with caplog.at_level(logging.INFO, logger="morphseg.cli"):
+        for method in ("rec-mdl", "seq-ml"):
+            argv = ["train", "--method", method, "--model", str(workdir / method)]
+            if method == "rec-mdl":
+                argv += ["--cost-curve", str(workdir / "train_curve.csv")]
+            caplog.clear()
+            assert main(argv + common) == 0
+            records[method] = logged_args(caplog, "morphseg.cli")
+        caplog.clear()
+        argv = ["compare", "--test-tokens", "300", "--out-dir", str(out_dir),
+                "--cost-curve", str(workdir / "compare_curve.csv")]
+        assert main(argv + common) == 0
+        records["compare"] = logged_args(caplog, "morphseg.cli")
+    expected = []
+    for method in ("rec-mdl", "seq-ml"):
+        saved = out_dir / (method.replace("-", "_") + ".model")
+        assert (workdir / method).read_bytes() == saved.read_bytes()
+        row = report.build_report(io.load_model(saved))
+        expected.append((method, 900, row.codebook_morphs, row.total_cost_bits))
+    assert records == {"rec-mdl": expected[:1], "seq-ml": expected[1:], "compare": expected}
+    curves = [(workdir / name).read_bytes() for name in ("train_curve.csv", "compare_curve.csv")]
+    assert curves[0] == curves[1]
 
 
 def test_compare_without_gold_skips_alignment_rows(workdir, capsys):

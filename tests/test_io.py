@@ -385,6 +385,31 @@ def test_sniff_format(tmp_path, tiny_corpus):
     assert io.sniff_format(ml_path) == "morphseg-ml"
 
 
+@pytest.mark.parametrize("kind", ["mdl", "ml"])
+def test_save_model_and_load_model_round_trip_either_kind(tmp_path, tiny_corpus, kind):
+    if kind == "mdl":
+        model, save = train_online(tiny_corpus, MdlConfig(dream_interval=4)), io.save_mdl_model
+    else:
+        model, save = MorphStats({"cat": 2, "s": 3}, 5, {"cat": 1, "s": 2}), io.save_ml_model
+    io.save_model(model, tmp_path / "any.model")
+    save(model, tmp_path / "own.model")
+    assert (tmp_path / "any.model").read_bytes() == (tmp_path / "own.model").read_bytes()
+    loaded = io.load_model(tmp_path / "any.model")
+    assert type(loaded) is type(model)
+    io.save_model(loaded, tmp_path / "again.model")
+    assert (tmp_path / "again.model").read_bytes() == (tmp_path / "own.model").read_bytes()
+
+
+def test_load_model_rejects_files_that_are_not_models(tmp_path):
+    seg_path = tmp_path / "seg.tsv"
+    io.save_segmentation({"cats": ["cat", "s"]}, seg_path)
+    empty = tmp_path / "empty.model"
+    empty.write_text("", encoding="utf-8")
+    for path, header in ((seg_path, "morphseg-seg"), (empty, "")):
+        with pytest.raises(ModelFormatError, match="not a model file \\(header %r\\)" % header):
+            io.load_model(path)
+
+
 # -- line ends ---------------------------------------------------------------
 
 

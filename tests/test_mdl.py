@@ -157,11 +157,54 @@ def test_removing_flow_from_a_missing_chunk_raises():
     assert list(store.chunks.items()) == before
 
 
-def test_integrity_catches_corruption():
-    store = ChunkStore()
-    store.process_word("aa")
+def _off_the_flow(store):
     store.chunks["a"].count += 1
-    with pytest.raises(MorphsegError):
+
+
+def _zero_count(store):
+    store.chunks["a"].count = 0
+
+
+def _split_out_of_range(store):
+    store.chunks["aa"].split = 2
+
+
+def _split_names_a_missing_part(store):
+    del store.chunks["a"]
+
+
+def _word_without_chunk(store):
+    store.word_counts["c"] = 1
+
+
+def _leaf_tokens_off_by_one(store):
+    store._leaf_tokens += 1
+
+
+def _tracked_cost_drift(store):
+    store._plogp.add(1.0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_off_the_flow, "count of 'a' is 3, flow implies 2", id="off-the-flow"),
+        pytest.param(_zero_count, "zero-count chunk retained", id="zero-count"),
+        pytest.param(_split_out_of_range, "bad split 2 in 'aa'", id="split-out-of-range"),
+        pytest.param(_split_names_a_missing_part, "references missing part 'a'", id="missing-part"),
+        pytest.param(_word_without_chunk, "known word 'c' has no chunk", id="word-no-chunk"),
+        pytest.param(_leaf_tokens_off_by_one, "leaf token tracker 4 != 3", id="leaf-tokens"),
+        pytest.param(_tracked_cost_drift, "tracked cost .* drifted", id="tracked-cost-drift"),
+    ],
+)
+def test_integrity_catches_corruption(corrupt, message):
+    store = ChunkStore()
+    store.process_word("aa")  # split a|a: "aa" flows a count of 2 into leaf "a"
+    store.process_word("b")
+    assert store.chunks["aa"].split == 1
+    store.check_integrity()
+    corrupt(store)
+    with pytest.raises(MorphsegError, match=message):
         store.check_integrity()
 
 

@@ -268,7 +268,7 @@ def test_train_em_cost_log_and_monotonicity_without_rejection(caplog):
     corpus = Corpus.from_tokens(tokens)
     with caplog.at_level(logging.INFO, logger="morphseg.ml"):
         train_em(corpus, iterations=6, rng=random.Random(0), use_rejection=False)
-    log = [corpus_bits for _, _, corpus_bits, _, _ in logged_args(caplog, "morphseg.ml")]
+    log = [corpus_bits for _, _, corpus_bits, _ in logged_args(caplog, "morphseg.ml")]
     assert len(log) == 6
     for earlier, later in zip(log, log[1:]):
         assert later <= earlier + 1e-9
@@ -288,16 +288,15 @@ def test_train_em_estimates_stats_once_per_iteration_plus_once(caplog, monkeypat
     assert len(built) == 4 + 1
     assert stats is built[-1]
     # each iteration logs the stats of the segmentation it produced
-    logged = [(morphs, bits) for _, morphs, bits, _, _ in logged_args(caplog, "morphseg.ml")]
+    logged = [(morphs, bits) for _, morphs, bits, _ in logged_args(caplog, "morphseg.ml")]
     assert logged == [(len(s.counts), s.corpus_bits()) for s in built[1:]]
 
 
-def test_train_em_logs_rejections_and_unsegmentable_words(caplog, monkeypatch):
+def test_train_em_logs_rejections(caplog, monkeypatch):
     from morphseg import synth
 
     tokens, _, _ = synth.generate(800, seed=0)
     corpus = Corpus.from_tokens(tokens)
-    stubborn = min(corpus.type_counts)
     rejections = []
 
     def counted_reject(morphs, prev_type_usage):
@@ -305,22 +304,29 @@ def test_train_em_logs_rejections_and_unsegmentable_words(caplog, monkeypatch):
         rejections.append(bool(reason))
         return reason
 
+    monkeypatch.setattr(ml, "reject", counted_reject)
+    with caplog.at_level(logging.INFO, logger="morphseg.ml"):
+        train_em(corpus, iterations=5, rng=random.Random(0))
+    records = logged_args(caplog, "morphseg.ml")
+    assert [it for it, _, _, _ in records] == [1, 2, 3, 4, 5]
+    rejected = [r for _, _, _, r in records]
+    assert sum(rejected) == sum(rejections) > 0
+    assert rejected[-1] == 0  # the final iteration rejects nothing
+
+
+def test_train_em_lets_an_unsegmentable_word_raise(monkeypatch, tiny_corpus):
+    # training words always have a Viterbi path; a word without one is a
+    # broken invariant, not something to resegment at random
+    stubborn = min(tiny_corpus.type_counts)
+
     def failing_viterbi(word, stats):
         if word == stubborn:
             raise UnsegmentableError(word)
         return viterbi_segment(word, stats)
 
-    monkeypatch.setattr(ml, "reject", counted_reject)
     monkeypatch.setattr(ml, "viterbi_segment", failing_viterbi)
-    with caplog.at_level(logging.INFO, logger="morphseg.ml"):
-        segmentation, _ = train_em(corpus, iterations=5, rng=random.Random(0))
-    records = logged_args(caplog, "morphseg.ml")
-    assert [it for it, _, _, _, _ in records] == [1, 2, 3, 4, 5]
-    assert [unsegmentable for *_, unsegmentable in records] == [1] * 5
-    rejected = [r for _, _, _, r, _ in records]
-    assert sum(rejected) == sum(rejections) > 0
-    assert rejected[-1] == 0  # the final iteration rejects nothing
-    assert "".join(segmentation[stubborn]) == stubborn
+    with pytest.raises(UnsegmentableError):
+        train_em(tiny_corpus, iterations=3, rng=random.Random(0))
 
 
 @given(
