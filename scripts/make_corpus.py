@@ -7,6 +7,7 @@ the list of morphemic tags to keep during evaluation.
 
 import argparse
 
+from morphseg import io
 from morphseg.synth import generate
 
 
@@ -20,15 +21,16 @@ def main():
     parser.add_argument("--tags", default="tags.txt")
     parser.add_argument("--per-line", type=int, default=12, help="tokens per output line")
     args = parser.parse_args()
+    if args.tokens < 1 or args.per_line < 1:
+        parser.error("--tokens and --per-line must be at least 1")
 
     tokens, gold_lines, tags = generate(args.tokens, args.seed, args.compound_rate)
-    with open(args.corpus, "w", encoding="utf-8", newline="\n") as f:
-        for i in range(0, len(tokens), args.per_line):
-            f.write(" ".join(tokens[i : i + args.per_line]) + "\n")
-    with open(args.gold, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(gold_lines) + "\n")
-    with open(args.tags, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(tags) + "\n")
+    io.write_lines(
+        args.corpus,
+        (" ".join(tokens[i : i + args.per_line]) for i in range(0, len(tokens), args.per_line)),
+    )
+    io.write_lines(args.gold, gold_lines)
+    io.write_lines(args.tags, tags)
     print(
         "wrote %d tokens (%d types) to %s; gold analyses to %s; tags to %s"
         % (len(tokens), len(gold_lines), args.corpus, args.gold, args.tags)

@@ -1,8 +1,11 @@
 #!/bin/sh
 # End-to-end demo: synthesize a corpus, then run every morphseg subcommand on
-# it (compare both methods, train each method and check that train writes the
-# same models and cost curve as compare, segment the held-out words with each
-# model, evaluate one method's segmentations) and list the files written.
+# it (compare both methods, keeping the table in out/table.txt, train each
+# method and check that train writes the same models and cost curve as
+# compare, segment the held-out words with each model, evaluate one method's
+# segmentations) and list the files written. Every file it writes is
+# deterministic, so runs under different PYTHONHASHSEED values can be
+# compared with diff -r.
 set -e
 
 DIR="${1:-demo_run}"
@@ -11,11 +14,16 @@ mkdir -p "$DIR"
 python3 scripts/make_corpus.py --tokens 40000 --seed 1 \
     --corpus "$DIR/corpus.txt" --gold "$DIR/gold.tsv" --tags "$DIR/tags.txt"
 
+# the comparison table is kept beside the files it describes; it holds no
+# timing, so two runs can be compared with diff -r
+mkdir -p "$DIR/out"
 morphseg compare \
     --corpus "$DIR/corpus.txt" --alphabet english \
     --train-tokens 30000 --test-tokens 10000 \
     --gold "$DIR/gold.tsv" --tags "$DIR/tags.txt" \
-    --seed 42 --out-dir "$DIR/out" --cost-curve "$DIR/out/curve.csv"
+    --seed 42 --out-dir "$DIR/out" --cost-curve "$DIR/out/curve.csv" \
+    > "$DIR/out/table.txt"
+cat "$DIR/out/table.txt"
 
 mkdir -p "$DIR/train"
 morphseg train --method rec-mdl --corpus "$DIR/corpus.txt" --train-tokens 30000 \

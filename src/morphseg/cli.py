@@ -50,7 +50,7 @@ def _add_method_options(p):
     )
     p.add_argument(
         "--dream-passes", type=int, default=MdlConfig.dream_passes,
-        help="maximum reprocessing passes per dreaming event",
+        help="maximum reprocessing passes per dreaming event (at least 1)",
     )
     p.add_argument("--iterations", type=int, default=10, help="EM iterations for seq-ml")
     p.add_argument(
@@ -148,13 +148,13 @@ def _checked_options(args, methods):
 
 def _train(method, args, config, corpus):
     """(model, training segmentation or None); rec-mdl writes --cost-curve if given.
-    Logs one INFO record, args (method, tokens, morphs, bits of build_report)."""
+    Logs one INFO record, args (method, tokens, morphs, bits of build_report,
+    seconds spent in the training call)."""
     segmentation = None
+    curve = [] if args.cost_curve and method == "rec-mdl" else None
+    start = time.perf_counter()
     if method == "rec-mdl":
-        curve = [] if args.cost_curve else None
         model = mdl.train_online(corpus, config, curve=curve)
-        if args.cost_curve:
-            io.write_cost_curve(curve, args.cost_curve)
     else:
         segmentation, model = ml.train_em(
             corpus,
@@ -163,11 +163,14 @@ def _train(method, args, config, corpus):
             mean_interval=args.interval_mean,
             use_rejection=not args.no_reject,
         )
+    seconds = time.perf_counter() - start
+    if curve is not None:
+        io.write_cost_curve(curve, args.cost_curve)
     # the cost on the scale of compare's report: corpus plus codebook bits
     row = report.build_report(model, char_bits=args.char_bits)
     _logger.info(
-        "%s trained on %d tokens: %d morphs, %.1f bits",
-        method, len(corpus), row.codebook_morphs, row.total_cost_bits,
+        "%s trained on %d tokens: %d morphs, %.1f bits, %.1f s",
+        method, len(corpus), row.codebook_morphs, row.total_cost_bits, seconds,
     )
     return model, segmentation
 
@@ -313,9 +316,7 @@ _segment_types_ml = _segment_types
 def _compare_method(method, args, config, train, test, gold, out_dir):
     """Report row of one method; its model, segmentations and evaluation
     die with this call, before the next method runs."""
-    t0 = time.perf_counter()
     model, train_seg = _train(method, args, config, train)
-    wall_time = time.perf_counter() - t0
     prefix = method.replace("-", "_")
     if out_dir:
         io.save_model(model, out_dir / (prefix + ".model"))
@@ -330,7 +331,7 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
             train_seg, test_seg, gold, train.type_counts, test.type_counts,
             max_distance=args.max_distance,
         )
-    row = report.build_report(model, evaluation, wall_time, args.char_bits)
+    row = report.build_report(model, evaluation, args.char_bits)
     if out_dir:
         io.save_segmentation(train_seg, out_dir / (prefix + ".train_seg.tsv"))
         io.save_segmentation(test_seg, out_dir / (prefix + ".test_seg.tsv"))

@@ -73,8 +73,11 @@ class MdlConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.dream_interval < 0 or self.dream_passes < 0:
-            raise ValueError("dream interval and passes must not be negative")
+        if self.dream_interval < 0 or self.dream_passes < 1:
+            raise ValueError(
+                "dream interval must not be negative and dream passes must be at"
+                " least 1 (an interval of 0 disables dreaming)"
+            )
 
 
 class _NeumaierSum:
@@ -385,16 +388,6 @@ class ChunkStore:
             raise MorphsegError(
                 "tracked cost %.12f drifted from recomputed %.12f" % (tracked, scratch)
             )
-
-    def copy(self):
-        dup = ChunkStore(self.char_bits)
-        dup.chunks = {t: Chunk(c.text, c.count, c.split) for t, c in self.chunks.items()}
-        dup.word_counts = dict(self.word_counts)
-        dup._leaf_tokens = self._leaf_tokens
-        dup._leaf_chars = self._leaf_chars
-        dup._plogp.high = self._plogp.high
-        dup._plogp.low = self._plogp.low
-        return dup
 
     def __eq__(self, other):
         if not isinstance(other, ChunkStore):

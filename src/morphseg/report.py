@@ -29,25 +29,18 @@ class MetricsReport:
     relative_codebook_cost: float
     alignment_distance_bits: float = None
     unseen_pair_pct: float = None
-    wall_time_sec: float = None
     cost_footnote: bool = False
 
     def to_record(self):
-        """JSON-ready dict of the fields, without the timing, which varies
-        between otherwise identical runs, and without the alignment fields
-        of a model that was not evaluated."""
+        """JSON-ready dict of the fields, without the alignment fields of a
+        model that was not evaluated."""
         record = dataclasses.asdict(self)
-        del record["wall_time_sec"]
         if self.alignment_distance_bits is None:
             del record["alignment_distance_bits"], record["unseen_pair_pct"]
         return record
 
-    @classmethod
-    def from_record(cls, record):
-        return cls(**record)
 
-
-def build_report(model, evaluation=None, wall_time=None, char_bits=5):
+def build_report(model, evaluation=None, char_bits=5):
     """MetricsReport for a trained ChunkStore or MorphStats.
 
     char_bits prices the codebook of a MorphStats; a ChunkStore carries
@@ -75,19 +68,18 @@ def build_report(model, evaluation=None, wall_time=None, char_bits=5):
             evaluation.alignment_distance_bits if evaluation else None
         ),
         unseen_pair_pct=evaluation.unseen_pair_pct if evaluation else None,
-        wall_time_sec=wall_time,
         cost_footnote=isinstance(model, MorphStats),
     )
 
 
 def write_metrics(reports, path):
-    """One JSON object per line, deterministic (sorted keys, no timing)."""
+    """One JSON object per line, deterministic (sorted keys)."""
     io.write_lines(path, (json.dumps(r.to_record(), sort_keys=True) for r in reports))
 
 
 def read_metrics(path):
     with open(path, encoding="utf-8") as f:
-        return [MetricsReport.from_record(json.loads(line)) for line in f if line.strip()]
+        return [MetricsReport(**json.loads(line)) for line in f if line.strip()]
 
 
 _ROWS = (
@@ -98,7 +90,6 @@ _ROWS = (
     ("Relative codebook cost", "relative_codebook_cost", None),
     ("Alignment distance [bits]", "alignment_distance_bits", "%.1f"),
     ("Unseen aligned pairs", "unseen_pair_pct", None),
-    ("Time [sec]", "wall_time_sec", "%.1f"),
 )
 
 _TITLES = {"rec-mdl": "Rec. MDL", "seq-ml": "Seq. ML"}

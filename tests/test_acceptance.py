@@ -256,12 +256,14 @@ def test_10_compare_runs_are_byte_identical(capsys, tmp_path):
             )
             assert code == 0
             outputs[run] = {name: (out_dir / name).read_bytes() for name in artifacts}
-        for name in artifacts:
+            outputs[run]["stdout"] = capsys.readouterr().out  # the comparison table
+        for name in artifacts + ["stdout"]:
             assert outputs["a"][name] == outputs["b"][name], name
+        assert "Total cost [bits]" in outputs["a"]["stdout"]
         report = [json.loads(line) for line in outputs["a"]["report.json"].splitlines()]
         assert len(report) == 2
 
-    _verdict(capsys, "10 repeated compare runs produce byte-identical artifacts", body)
+    _verdict(capsys, "10 repeated compare runs produce byte-identical artifacts and tables", body)
 
 
 def test_11_count_flow_survives_random_operations(capsys):

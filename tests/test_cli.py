@@ -581,7 +581,7 @@ def test_compare_pipeline(workdir, capsys):
     table = capsys.readouterr().out
     assert "Rec. MDL" in table and "Seq. ML" in table
     assert "Alignment distance [bits]" in table
-    assert "Time [sec]" in table
+    assert "Time" not in table
     assert "* " in table  # ML cost footnote
 
     for name in [
@@ -600,7 +600,6 @@ def test_compare_pipeline(workdir, capsys):
     reports = read_metrics(out_dir / "report.json")
     assert [r.method for r in reports] == ["rec-mdl", "seq-ml"]
     assert all(r.alignment_distance_bits is not None for r in reports)
-    assert all(r.wall_time_sec is None for r in reports)
     assert io.read_cost_curve(workdir / "curve.csv")
     raw = (out_dir / "report.json").read_bytes()
     assert raw.decode("utf-8").count("\n") == 2 and b"\r" not in raw
@@ -623,12 +622,15 @@ def test_train_and_compare_train_each_method_the_same_way(workdir, caplog):
                 argv += ["--cost-curve", str(workdir / "train_curve.csv")]
             caplog.clear()
             assert main(argv + common) == 0
-            records[method] = logged_args(caplog, "morphseg.cli")
+            records[method] = [args[:4] for args in logged_args(caplog, "morphseg.cli")]
         caplog.clear()
         argv = ["compare", "--test-tokens", "300", "--out-dir", str(out_dir),
                 "--cost-curve", str(workdir / "compare_curve.csv")]
         assert main(argv + common) == 0
-        records["compare"] = logged_args(caplog, "morphseg.cli")
+        logged = logged_args(caplog, "morphseg.cli")
+        records["compare"] = [args[:4] for args in logged]
+    # the last arg is the seconds spent training
+    assert all(len(args) == 5 and args[4] >= 0.0 for args in logged)
     expected = []
     for method in ("rec-mdl", "seq-ml"):
         saved = out_dir / (method.replace("-", "_") + ".model")
@@ -638,6 +640,29 @@ def test_train_and_compare_train_each_method_the_same_way(workdir, caplog):
     assert records == {"rec-mdl": expected[:1], "seq-ml": expected[1:], "compare": expected}
     curves = [(workdir / name).read_bytes() for name in ("train_curve.csv", "compare_curve.csv")]
     assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize("method", ["rec-mdl", "seq-ml"])
+def test_train_logs_the_seconds_of_the_training_call_only(workdir, monkeypatch, caplog, method):
+    clock = [0.0]
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+
+    def taking(seconds, fn):
+        def timed(*args, **kwargs):
+            clock[0] += seconds
+            return fn(*args, **kwargs)
+        return timed
+
+    monkeypatch.setattr(cli, "read_corpus", taking(100.0, cli.read_corpus))
+    monkeypatch.setattr(cli.mdl, "train_online", taking(2.5, cli.mdl.train_online))
+    monkeypatch.setattr(cli.ml, "train_em", taking(2.5, cli.ml.train_em))
+    monkeypatch.setattr(cli.report, "build_report", taking(100.0, cli.report.build_report))
+    argv = ["train", "--method", method, "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"), "--iterations", "2"]
+    with caplog.at_level(logging.INFO, logger="morphseg.cli"):
+        assert main(argv) == 0
+    [args] = logged_args(caplog, "morphseg.cli")
+    assert args[4] == 2.5
 
 
 def test_compare_without_gold_skips_alignment_rows(workdir, capsys):
@@ -728,6 +753,23 @@ def test_negative_dreaming_settings_are_usage_errors(workdir, option):
     assert not (workdir / "m").exists()
     assert main(_compare_argv(workdir, option, "-1")) == 2
     assert not (workdir / "run").exists()
+
+
+def test_zero_dream_passes_is_a_usage_error_before_reading(workdir, capsys):
+    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
+    code = main(
+        [
+            "train", "--method", "rec-mdl",
+            "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"),
+            "--dream-passes", "0",
+        ]
+    )
+    assert code == 2
+    assert not (workdir / "m").exists()
+    assert main(_compare_argv(workdir, "--dream-passes", "0")) == 2
+    assert not (workdir / "run").exists()
+    assert capsys.readouterr().err.count("dream passes must be at least 1") == 2
 
 
 @pytest.mark.parametrize("char_bits", ["0", "-1"])

@@ -106,7 +106,13 @@ def test_segment_word_returns_the_stores_leaf_texts(tiny_corpus):
 def test_negative_dreaming_settings_are_rejected(field):
     with pytest.raises(ValueError, match="negative"):
         MdlConfig(**{field: -1})
-    MdlConfig(**{field: 0})  # an interval of 0 disables dreaming
+    if field == "dream_interval":
+        MdlConfig(dream_interval=0)  # an interval of 0 disables dreaming
+    else:
+        # a dreaming event with no pass would change nothing; the interval
+        # is the one switch that turns dreaming off
+        with pytest.raises(ValueError, match="at least 1"):
+            MdlConfig(dream_passes=0)
 
 
 def test_tracked_cost_matches_scratch(tiny_corpus):
@@ -124,28 +130,6 @@ def test_codebook_accessors(tiny_corpus):
     morphs = dict(store.iter_morphs())
     assert len(morphs) == store.codebook_size()
     assert all(n > 0 for n in morphs.values())
-
-
-def test_copy_is_independent(tiny_corpus):
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
-    dup = store.copy()
-    assert dup == store
-    assert dup.tracked_cost == store.tracked_cost
-    dup.process_word("zebra")
-    assert "zebra" not in store.chunks
-    assert dup != store
-    store.check_integrity()
-    dup.check_integrity()
-
-
-def test_copy_keeps_both_compensated_sum_parts():
-    from morphseg import synth
-
-    tokens, _, _ = synth.generate(3000, seed=0)
-    store = train_online(Corpus.from_tokens(tokens), MdlConfig(dream_interval=1000))
-    dup = store.copy()
-    assert store._plogp.low != 0.0
-    assert (dup._plogp.high, dup._plogp.low) == (store._plogp.high, store._plogp.low)
 
 
 def test_removing_flow_from_a_missing_chunk_raises():
@@ -288,9 +272,10 @@ def test_dreaming_preserves_all_invariants(words, seed):
 @settings(max_examples=60, deadline=None)
 def test_committed_splits_never_beat_keeping_the_word_whole(words, next_word):
     store = ChunkStore()
+    baseline = ChunkStore()
     for w in words:
         store.process_word(w)
-    baseline = store.copy()
+        baseline.process_word(w)
     baseline._settle_unsplit(next_word)
     store.process_word(next_word)
     # the no-split candidate is always on the table, so greedy search can

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from morphseg import synth
 from morphseg.align import parse_gold
 from morphseg.corpus import ALPHABETS
@@ -37,3 +44,32 @@ def test_gold_covers_every_type_and_parses():
             assert label.isupper() and label.isalpha()
         for label in entry.labels[entry.base_count :]:
             assert label in tags
+
+
+MAKE_CORPUS = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+
+
+def _make_corpus(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=str(MAKE_CORPUS.parents[1] / "src"))
+    files = ["--corpus", str(tmp_path / "c.txt"), "--gold", str(tmp_path / "g.tsv"),
+             "--tags", str(tmp_path / "t.txt")]
+    return subprocess.run(
+        [sys.executable, str(MAKE_CORPUS), *files, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_make_corpus_writes_the_generator_output(tmp_path):
+    result = _make_corpus(tmp_path, "--tokens", "30", "--seed", "3", "--per-line", "7")
+    assert result.returncode == 0, result.stderr
+    tokens, gold, tags = synth.generate(30, seed=3)
+    lines = [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
+    for name, expected in [("c.txt", lines), ("g.tsv", gold), ("t.txt", tags)]:
+        assert (tmp_path / name).read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("args", [("--tokens", "0"), ("--per-line", "0"), ("--per-line", "-1")])
+def test_make_corpus_rejects_layouts_with_no_tokens(tmp_path, args):
+    result = _make_corpus(tmp_path, *args)
+    assert result.returncode == 2
+    assert "must be at least 1" in result.stderr
+    assert not (tmp_path / "c.txt").exists()
