@@ -88,9 +88,6 @@ class DistanceTable:
     distances: dict  # (morph, label) -> bits
     max_distance: float
 
-    def get(self, morph, label):
-        return self.distances.get((morph, label), self.max_distance)
-
     def seen(self, morph, label):
         return (morph, label) in self.distances
 
@@ -197,14 +194,14 @@ def check_max_distance(max_distance):
         raise ValueError("max distance must be finite and non-negative, got %r" % (max_distance,))
 
 
-def _build_table(pair_counts, morph_counts, extra, max_distance):
+def _build_table(pair_counts, morph_counts, max_distance):
     distances = {}
     for (morph, label), c in pair_counts.items():
         c_m = morph_counts[morph]
         distances[(morph, label)] = 0.0 if c == c_m else _log2(c_m / c)
     observed = max(distances.values(), default=0.0)
     if max_distance is None:
-        d_max = observed + extra
+        d_max = observed + DEFAULT_EXTRA_DISTANCE
     else:
         if max_distance < observed:
             raise MorphsegError(
@@ -215,50 +212,54 @@ def _build_table(pair_counts, morph_counts, extra, max_distance):
     return DistanceTable(distances, d_max)
 
 
-def em_align(
-    segmented,
-    gold,
-    token_counts,
-    max_iters=DEFAULT_EM_ITERS,
-    tol=DEFAULT_EM_TOL,
-    extra_distance=DEFAULT_EXTRA_DISTANCE,
-    max_distance=None,
-):
+def _scored_words(segmented, gold, token_counts):
+    """The words of segmented, in order, that have a reference analysis.
+
+    Raises MorphsegError for such a word without a token count, or when no
+    word is left. Logs one warning with the number of words skipped.
+    """
+    words = [word for word in segmented if word in gold]
+    for word in words:
+        if word not in token_counts:
+            raise MorphsegError("no token count for %r" % (word,))
+    skipped = len(segmented) - len(words)
+    if skipped:
+        _logger.warning("%d words lacked reference analyses and were skipped", skipped)
+    if not words:
+        raise MorphsegError("no segmented word has a reference analysis")
+    return words
+
+
+def em_align(segmented, gold, token_counts, max_iters=DEFAULT_EM_ITERS, max_distance=None):
     """Fit a DistanceTable to segmented words with reference analyses.
 
     Alternates between estimating pair distances from the current
     alignments and realigning every word under the new distances, starting
     from string-matching alignments, until the token-weighted total
-    distance improves by less than tol relative or max_iters is reached.
+    distance improves by less than DEFAULT_EM_TOL relative or max_iters is
+    reached. Unseen pairs cost the largest fitted distance plus
+    DEFAULT_EXTRA_DISTANCE unless max_distance is given.
     Alignments are not kept: each word's new alignment is tallied into the
     pair counts of the next table as soon as it is found. A word token
     containing morph M counts once toward c(M), which no realignment
-    changes. Words without a reference analysis are skipped with a warning.
-    Each realignment logs one INFO record with args (iteration, total bits).
+    changes. Words without a reference analysis are skipped, with one
+    warning. Each realignment logs one INFO record with args (iteration,
+    total bits).
     """
     if max_iters < 1:
         raise ValueError("need at least one iteration")
     check_max_distance(max_distance)
-    words = []
-    for word in segmented:
-        if word in gold:
-            words.append(word)
-        else:
-            _logger.warning("no reference analysis for %r; skipped", word)
-    if not words:
-        raise MorphsegError("no overlap between segmentation and reference analyses")
+    words = _scored_words(segmented, gold, token_counts)
     morph_counts = collections.Counter()
     pair_counts = collections.Counter()
     for word in words:
-        if word not in token_counts:
-            raise MorphsegError("no token count for %r" % (word,))
         morphs, entry, weight = segmented[word], gold[word], token_counts[word]
         for morph in set(morphs):
             morph_counts[morph] += weight
         _tally(pair_counts, morphs, entry.labels, _string_match_align(morphs, entry), weight)
     prev_total = None
     for it in range(max_iters):
-        table = _build_table(pair_counts, morph_counts, extra_distance, max_distance)
+        table = _build_table(pair_counts, morph_counts, max_distance)
         pair_counts = collections.Counter()
         total = 0.0
         for word in words:
@@ -267,7 +268,7 @@ def em_align(
             _tally(pair_counts, morphs, labels, pairs, weight)
             total += weight * bits
         _logger.info("alignment EM iteration %d: %.1f bits", it + 1, total)
-        if prev_total is not None and prev_total - total < tol * max(prev_total, 1e-12):
+        if prev_total is not None and prev_total - total < DEFAULT_EM_TOL * max(prev_total, 1e-12):
             break
         prev_total = total
     return table
@@ -286,35 +287,25 @@ def score_segmentation(segmented, gold, token_counts, table):
     """Token-weighted alignment distance of words under a frozen table.
 
     Pairs absent from the table are charged table.max_distance and counted
-    as unseen. Words without a reference analysis are skipped.
+    as unseen. Words without a reference analysis are skipped, with one
+    warning.
     """
     total = 0.0
     pair_total = 0
     unseen = 0
     alignments = {}
-    skipped = 0
-    for word, morphs in segmented.items():
-        entry = gold.get(word)
-        if entry is None:
-            skipped += 1
-            continue
-        weight = token_counts.get(word)
-        if weight is None:
-            raise MorphsegError("no token count for %r" % (word,))
-        pairs, bits = align_word(morphs, entry.labels, table)
+    for word in _scored_words(segmented, gold, token_counts):
+        morphs, labels, weight = segmented[word], gold[word].labels, token_counts[word]
+        pairs, bits = align_word(morphs, labels, table)
         alignments[word] = pairs
         total += weight * bits
         pair_total += weight * len(pairs)
         for i, j in pairs:
-            if not table.seen(morphs[i], entry.labels[j]):
+            if not table.seen(morphs[i], labels[j]):
                 unseen += weight
-    if skipped:
-        _logger.warning("%d words lacked reference analyses and were skipped", skipped)
-    if pair_total == 0:
-        raise MorphsegError("nothing to score: no scored words")
     return EvalResult(
         alignment_distance_bits=total,
-        unseen_pair_pct=100.0 * unseen / pair_total,
+        unseen_pair_pct=100.0 * unseen / pair_total if pair_total else 0.0,
         aligned_pairs=pair_total,
         unseen_pairs=unseen,
         alignments=alignments,
@@ -328,18 +319,10 @@ def evaluate(
     train_counts,
     test_counts,
     max_iters=DEFAULT_EM_ITERS,
-    extra_distance=DEFAULT_EXTRA_DISTANCE,
     max_distance=None,
 ):
     """Fit distances on the training segmentation, score the test one."""
-    table = em_align(
-        train_seg,
-        gold,
-        train_counts,
-        max_iters=max_iters,
-        extra_distance=extra_distance,
-        max_distance=max_distance,
-    )
+    table = em_align(train_seg, gold, train_counts, max_iters=max_iters, max_distance=max_distance)
     return score_segmentation(test_seg, gold, test_counts, table), table
 
 

@@ -128,7 +128,8 @@ def _checked_options(args, methods):
     if args.cost_curve and "rec-mdl" not in methods:
         raise UsageError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     if "rec-mdl" in methods:
-        if len(pre.alphabet) > 2 ** args.char_bits:
+        # len(alphabet) > 2**k without building 2**k: a huge k would need gigabytes
+        if (len(pre.alphabet) - 1).bit_length() > args.char_bits:
             raise UsageError(
                 "alphabet has %d characters; %d bits per character can code only %d"
                 % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)

@@ -8,7 +8,6 @@ cost, so random resegmentation of rejected words is the only mechanism
 that introduces new morphs into the lexicon.
 """
 
-import collections
 import dataclasses
 import logging
 import math
@@ -20,9 +19,8 @@ from .mdl import DEFAULT_SEED, MdlCost
 
 _logger = logging.getLogger(__name__)
 
-_log2 = math.log2
-
 DEFAULT_INTERVAL_MEAN = 5.5
+MIN_INTERVAL_MEAN = 0.01
 
 
 @dataclasses.dataclass
@@ -33,29 +31,33 @@ class MorphStats:
     total: sum of counts.
     type_usage: morph -> number of distinct word types using it.
     longest: length of the longest morph, set from counts at construction.
+    price: morph -> its cost in bits, log2(total / count), set likewise.
     """
 
     counts: dict
     total: int
     type_usage: dict
     longest: int = dataclasses.field(init=False)
+    price: dict = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         self.longest = max(map(len, self.counts), default=0)
+        total = self.total
+        self.price = {m: math.log2(total / c) for m, c in self.counts.items()}
 
     @classmethod
     def from_segmentation(cls, segmentation, type_counts):
-        counts = collections.Counter()
-        usage = collections.Counter()
+        counts = {}
+        usage = {}
         for word, n in type_counts.items():
             morphs = segmentation.get(word)
             if morphs is None:
                 raise MorphsegError("segmentation is missing corpus word %r" % (word,))
             for m in morphs:
-                counts[m] += n
+                counts[m] = counts.get(m, 0) + n
             for m in set(morphs):
-                usage[m] += 1
-        return cls(dict(counts), sum(counts.values()), dict(usage))
+                usage[m] = usage.get(m, 0) + 1
+        return cls(counts, sum(counts.values()), usage)
 
     def corpus_bits(self):
         """sum over morph tokens of -log2 p(morph), p by maximum likelihood."""
@@ -65,13 +67,19 @@ class MorphStats:
 def check_interval_mean(lam):
     """exp(-lam), or ValueError unless lam is a usable Poisson mean.
 
-    lam must be positive and small enough (about 708 at most) that
-    exp(-lam) is a normal float; otherwise the inversion loop of poisson,
-    or the redraw of zeros in random_segment, never ends.
+    lam must be at least MIN_INTERVAL_MEAN, so that a draw is non-zero with
+    chance 1 - exp(-lam), about 1% or more, and random_segment redraws zeros
+    about 100 times at most on average (below it exp(-lam) rounds toward 1.0
+    and the redraw never ends). It must also be small enough (about 708 at
+    most) that exp(-lam) is a normal float, or the inversion loop of poisson
+    never ends.
     """
-    p = math.exp(-lam) if lam > 0 else 0.0
+    p = math.exp(-lam) if lam >= MIN_INTERVAL_MEAN else 0.0
     if p < sys.float_info.min:
-        raise ValueError("lambda must be positive with exp(-lambda) a normal float, got %r" % (lam,))
+        raise ValueError(
+            "lambda must be at least %g with exp(-lambda) a normal float, got %r"
+            % (MIN_INTERVAL_MEAN, lam)
+        )
     return p
 
 
@@ -116,14 +124,14 @@ def _cut(word, bounds, end):
     return [word[i:j] for i, j in zip(edges, edges[1:])]
 
 
-def _exact_gap(word, end, bounds_a, bounds_b, counts, total):
-    """Sign-exact difference of the term sums of two segmentations of word[:end].
+def _exact_gap(word, end, bounds_a, bounds_b, price):
+    """Sign-exact difference of the price sums of two segmentations of word[:end].
 
     math.fsum rounds the exact sum correctly, so the result is zero exactly
     when the sums are equal and otherwise has the sign of their difference.
     """
-    terms = [_log2(total / counts[m]) for m in _cut(word, bounds_a, end)]
-    terms += [-_log2(total / counts[m]) for m in _cut(word, bounds_b, end)]
+    terms = [price[m] for m in _cut(word, bounds_a, end)]
+    terms += [-price[m] for m in _cut(word, bounds_b, end)]
     return math.fsum(terms)
 
 
@@ -131,17 +139,16 @@ def viterbi_segment(word, stats):
     """Cheapest segmentation of a word into known morphs.
 
     Returns (morphs, cost in bits). Costs are compared exactly, as the real
-    sums of the per-morph float terms log2(total / count), so equal costs
-    always tie; the returned cost is the left-to-right float sum of the
-    chosen morphs' terms. Ties are broken first toward fewer morphs, then
-    toward the lexicographically smallest boundary tuple.
+    sums of the morphs' stats.price floats, so equal costs always tie; the
+    returned cost is the left-to-right float sum of the chosen morphs'
+    prices. Ties are broken first toward fewer morphs, then toward the
+    lexicographically smallest boundary tuple.
     Raises UnsegmentableError when no concatenation of known morphs
     yields the word.
     """
     if not word:
         raise ValueError("cannot segment an empty word")
-    counts = stats.counts
-    total = stats.total
+    price = stats.price
     n = len(word)
     # a float sum of k <= n terms >= 0 is off by under k * 2**-53 of it: costs
     # further apart than 4x that share of their sum order as their exact sums do
@@ -156,10 +163,10 @@ def viterbi_segment(word, stats):
             prev = best[start]
             if prev is None:
                 continue
-            c = counts.get(word[start:end])
-            if c is None:
+            p = price.get(word[start:end])
+            if p is None:
                 continue
-            cost = prev[0] + _log2(total / c)
+            cost = prev[0] + p
             near = False
             if winner is not None:
                 gap = cost - winner[0]
@@ -169,7 +176,7 @@ def viterbi_segment(word, stats):
             bounds = prev[2] + (start,) if start else prev[2]
             cand = (cost, prev[1] + 1, bounds)
             if near:  # too close for the float sums to tell
-                gap = _exact_gap(word, end, bounds, winner[2], counts, total)
+                gap = _exact_gap(word, end, bounds, winner[2], price)
                 if gap > 0 or gap == 0 and cand[1:] > winner[1:]:
                     continue
             winner = cand
@@ -233,6 +240,7 @@ def train_em(
                     rejected += 1
             resegmented[word] = morphs
         segmentation = resegmented
+        del stats  # the old estimates go before the new ones are built
         stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
         _logger.info(
             "seq-ml iteration %d: %d morphs, %.1f corpus bits, %d rejected",

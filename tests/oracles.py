@@ -82,7 +82,7 @@ def brute_force_align(morphs, labels, table):
     for path in iter_alignment_paths(len(morphs), len(labels)):
         bits = 0.0
         for i, j in path:
-            bits = bits + table.get(morphs[i], labels[j])
+            bits = bits + table.distances.get((morphs[i], labels[j]), table.max_distance)
         if best is None or bits < best:
             best = bits
     return best
@@ -108,7 +108,7 @@ def traced_flat_cost(store):
 
 
 def em_align_keeping_paths(
-    segmented, gold, token_counts, max_iters, tol, extra_distance, max_distance, distance_log
+    segmented, gold, token_counts, max_iters, tol, max_distance, distance_log
 ):
     """Alignment EM that stores every word's path and re-reads it.
 
@@ -133,7 +133,7 @@ def em_align_keeping_paths(
                 pair_counts[pair] = pair_counts.get(pair, 0) + weight
             for morph in set(morphs):
                 morph_counts[morph] = morph_counts.get(morph, 0) + weight
-        table = align._build_table(pair_counts, morph_counts, extra_distance, max_distance)
+        table = align._build_table(pair_counts, morph_counts, max_distance)
         total = 0.0
         for word in words:
             pairs, bits = align.align_word(segmented[word], gold[word].labels, table)

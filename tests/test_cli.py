@@ -2,7 +2,11 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +152,7 @@ def test_train_seq_ml_rejects_unusable_lambda(workdir, lam):
     "method, option, value",
     [
         ("seq-ml", "--lambda", "0"),
+        ("seq-ml", "--lambda", "1e-17"),  # every draw zero: random_segment never ends
         ("seq-ml", "--iterations", "0"),
         ("seq-ml", "--cost-curve", "curve.csv"),  # the curve is rec-mdl's
         ("rec-mdl", "--dream-interval", "-1"),
@@ -528,6 +533,19 @@ def test_eval_with_count_files_weights_tokens(tmp_path, capsys):
     assert record["alignment_distance_bits"] == pytest.approx(expected)
 
 
+def test_eval_warns_once_per_fit_and_once_per_score_about_words_without_analyses(tmp_path):
+    seg_path, gold_path = eval_fixture(tmp_path)
+    gold_path.write_text("cats\tCAT PL\nkings\tKING GEN\n", encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "morphseg.cli"] + _eval_argv(seg_path, gold_path),
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("WARNING")]
+    assert warnings == ["WARNING 2 words lacked reference analyses and were skipped"] * 2
+
+
 def _eval_argv(seg_path, gold_path, *extra):
     return ["eval", "--train-seg", str(seg_path), "--test-seg", str(seg_path),
             "--gold", str(gold_path)] + list(extra)
@@ -721,6 +739,36 @@ def test_compare_rejects_unusable_max_distance_before_reading(workdir, capsys, v
     assert main(_compare_argv(workdir, "--max-distance", value)) == 2
     assert "max distance must be finite and non-negative" in capsys.readouterr().err
     assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("alphabet", ["english", "finnish", "a"])
+@pytest.mark.parametrize("char_bits", [-1, 0, 4, 5, 6])
+def test_char_bits_check_rejects_exactly_the_alphabets_it_cannot_code(alphabet, char_bits):
+    args = build_parser().parse_args(
+        ["train", "--method", "rec-mdl", "--corpus", "c", "--model", "m",
+         "--alphabet", alphabet, "--char-bits", str(char_bits)]
+    )
+    size = len(cli.ALPHABETS.get(alphabet) or set(alphabet))
+    try:
+        cli._checked_options(args, ("rec-mdl",))
+        rejected = False
+    except cli.UsageError:
+        rejected = True
+    assert rejected == (size > 2 ** char_bits)
+
+
+def test_huge_char_bits_is_checked_at_once(workdir):
+    start = time.perf_counter()
+    code = main(
+        [
+            "train", "--method", "rec-mdl",
+            "--corpus", str(workdir / "missing.txt"),
+            "--model", str(workdir / "m"),
+            "--char-bits", "1000000000",
+        ]
+    )
+    assert code == 3  # the option is accepted; the missing corpus is the error
+    assert time.perf_counter() - start < 2.0
 
 
 def test_empty_alphabet_is_a_usage_error(workdir, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import logged_args
-from morphseg import ml
+from morphseg import io, ml
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, UnsegmentableError
 from morphseg.ml import (
@@ -36,10 +36,15 @@ def test_poisson_small_lambda_is_mostly_zero():
     assert draws.count(0) > 400
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, 710.0, 744.4, 1000.0])
+@pytest.mark.parametrize(
+    "lam", [0.0, -1.0, 1e-17, 0.009, math.nan, math.inf, 710.0, 744.4, 1000.0]
+)
 def test_poisson_rejects_lambda_without_a_terminating_inversion(lam):
-    # each of these used to loop forever: exp(-lam) is not a normal float,
-    # or every draw is zero and random_segment redraws zeros
+    # unchecked, each of these loops forever or close to it: exp(-lam) is not
+    # a normal float, or (nearly) every draw is zero and random_segment redraws
+    # zeros; the check comes first so that a missing rejection fails, not hangs
+    with pytest.raises(ValueError, match="lambda"):
+        ml.check_interval_mean(lam)
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match="lambda"):
@@ -47,6 +52,12 @@ def test_poisson_rejects_lambda_without_a_terminating_inversion(lam):
     assert rng.getstate() == state
     with pytest.raises(ValueError, match="lambda"):
         random_segment("abcdef", rng, lam)
+
+
+def test_poisson_accepts_the_lambda_floor():
+    assert ml.check_interval_mean(ml.MIN_INTERVAL_MEAN) == math.exp(-0.01)
+    rng = random.Random(0)
+    assert random_segment("abcdef", rng, ml.MIN_INTERVAL_MEAN)
 
 
 def test_poisson_draws_one_uniform_per_call():
@@ -224,6 +235,15 @@ def test_morph_stats_from_segmentation():
     assert stats.corpus_bits() == pytest.approx(expected, rel=1e-12)
 
 
+def test_morph_stats_price_is_log2_of_total_over_count(tiny_corpus, tmp_path):
+    _, trained = train_em(tiny_corpus, iterations=3, rng=random.Random(0))
+    io.save_ml_model(trained, tmp_path / "m")
+    for stats in (trained, io.load_ml_model(tmp_path / "m")):
+        assert stats.price.keys() == stats.counts.keys()
+        for m, c in stats.counts.items():
+            assert stats.price[m] == math.log2(stats.total / c)
+
+
 def test_ml_cost():
     corpus = Corpus.from_tokens(["ab", "ab"])
     assert MorphStats.from_segmentation({"ab": ["a", "b"]}, corpus.type_counts).corpus_bits() == 4.0
@@ -236,8 +256,10 @@ def test_train_em_requires_an_iteration(tiny_corpus):
         train_em(tiny_corpus, iterations=0)
 
 
-@pytest.mark.parametrize("lam", [0.0, -2.0, math.nan, math.inf, 746.0])
+@pytest.mark.parametrize("lam", [0.0, -2.0, 1e-17, 0.009, math.nan, math.inf, 746.0])
 def test_train_em_rejects_unusable_lambda(tiny_corpus, lam):
+    with pytest.raises(ValueError, match="lambda"):
+        ml.check_interval_mean(lam)  # first, so that a missing rejection fails, not hangs
     with pytest.raises(ValueError, match="lambda"):
         train_em(tiny_corpus, iterations=1, mean_interval=lam)
 
