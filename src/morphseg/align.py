@@ -303,9 +303,11 @@ def score_segmentation(segmented, gold, token_counts, table):
         for i, j in pairs:
             if not table.seen(morphs[i], labels[j]):
                 unseen += weight
+    if pair_total == 0:
+        raise MorphsegError("nothing to score: every scored word has token count 0")
     return EvalResult(
         alignment_distance_bits=total,
-        unseen_pair_pct=100.0 * unseen / pair_total if pair_total else 0.0,
+        unseen_pair_pct=100.0 * unseen / pair_total,
         aligned_pairs=pair_total,
         unseen_pairs=unseen,
         alignments=alignments,

@@ -460,6 +460,13 @@ def test_score_segmentation_needs_scorable_words():
         score_segmentation({"b": ["b"]}, {}, {"b": 1}, table)
 
 
+def test_score_segmentation_rejects_words_that_all_weigh_zero():
+    table = DistanceTable({}, 10.0)
+    gold = parse_gold(["b\tB"])
+    with pytest.raises(MorphsegError, match="nothing to score"):
+        score_segmentation({"b": ["b"]}, gold, {"b": 0}, table)
+
+
 def test_score_segmentation_requires_token_counts():
     segmented, gold, counts = plural_fixture()
     table = em_align(segmented, gold, counts)

@@ -2,11 +2,8 @@ import json
 import logging
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -533,17 +530,13 @@ def test_eval_with_count_files_weights_tokens(tmp_path, capsys):
     assert record["alignment_distance_bits"] == pytest.approx(expected)
 
 
-def test_eval_warns_once_per_fit_and_once_per_score_about_words_without_analyses(tmp_path):
+def test_eval_warns_once_per_fit_and_once_per_score_about_words_without_analyses(tmp_path, caplog):
     seg_path, gold_path = eval_fixture(tmp_path)
     gold_path.write_text("cats\tCAT PL\nkings\tKING GEN\n", encoding="utf-8")
-    src = Path(cli.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "morphseg.cli"] + _eval_argv(seg_path, gold_path),
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    warnings = [line for line in result.stderr.splitlines() if line.startswith("WARNING")]
-    assert warnings == ["WARNING 2 words lacked reference analyses and were skipped"] * 2
+    with caplog.at_level(logging.WARNING):
+        assert main(_eval_argv(seg_path, gold_path)) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["2 words lacked reference analyses and were skipped"] * 2
 
 
 def _eval_argv(seg_path, gold_path, *extra):
