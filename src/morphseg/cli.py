@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import align, io, mdl, ml, report
-from .corpus import ALPHABETS, PreprocessConfig, read_corpus, split_corpus, truncate
+from .corpus import ALPHABETS, PreprocessConfig, read_corpus, split_corpus
 from .errors import MorphsegError, NotTrainedError, UnsegmentableError
 from .mdl import ChunkStore, MdlConfig
 from .ml import MorphStats
@@ -23,10 +23,6 @@ _logger = logging.getLogger(__name__)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 def _add_corpus_options(p):
@@ -118,19 +114,19 @@ def build_parser():
 def _checked_options(args, methods):
     """(preprocessing config, rec-mdl config or None) for the given methods.
 
-    Raises UsageError or ValueError for an option the methods cannot use, so
-    that train and compare reject it before any input is read.
+    Raises ValueError for an option the methods cannot use, so that train
+    and compare reject it before any input is read.
     """
     # --alphabet is a preset name or an explicit string of allowed characters
     alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
     pre = PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
     config = None
     if args.cost_curve and "rec-mdl" not in methods:
-        raise UsageError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
+        raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     if "rec-mdl" in methods:
         # len(alphabet) > 2**k without building 2**k: a huge k would need gigabytes
         if (len(pre.alphabet) - 1).bit_length() > args.char_bits:
-            raise UsageError(
+            raise ValueError(
                 "alphabet has %d characters; %d bits per character can code only %d"
                 % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)
             )
@@ -143,7 +139,7 @@ def _checked_options(args, methods):
     if "seq-ml" in methods:
         ml.check_interval_mean(args.interval_mean)
         if args.iterations < 1:
-            raise UsageError("need at least one seq-ml iteration")
+            raise ValueError("need at least one seq-ml iteration")
     return pre, config
 
 
@@ -180,7 +176,7 @@ def cmd_train(args):
     pre, config = _checked_options(args, (args.method,))
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
-        corpus = truncate(corpus, args.train_tokens)
+        (corpus,) = split_corpus(corpus, args.train_tokens)
     model, _ = _train(args.method, args, config, corpus)
     io.save_model(model, args.model)
     return 0
@@ -267,14 +263,19 @@ def _counts_for(segmentation, path):
     return {word: 1 for word in segmentation}
 
 
+def _load_gold(args):
+    """The reference analyses of --gold, keeping only the tags listed in --tags if given."""
+    tag_filter = align.load_tag_filter(args.tags) if args.tags else None
+    return align.load_gold(args.gold, tag_filter)
+
+
 def cmd_eval(args):
     align.check_max_distance(args.max_distance)
     if args.em_iterations < 1:
-        raise UsageError("need at least one alignment EM iteration")
+        raise ValueError("need at least one alignment EM iteration")
     train_seg = io.load_segmentation(args.train_seg)
     test_seg = io.load_segmentation(args.test_seg)
-    tag_filter = align.load_tag_filter(args.tags) if args.tags else None
-    gold = align.load_gold(args.gold, tag_filter)
+    gold = _load_gold(args)
     train_counts = _counts_for(train_seg, args.train_counts)
     test_counts = _counts_for(test_seg, args.test_counts)
     result, table = align.evaluate(
@@ -316,22 +317,26 @@ _segment_types_ml = _segment_types
 
 def _compare_method(method, args, config, train, test, gold, out_dir):
     """Report row of one method; its model, segmentations and evaluation
-    die with this call, before the next method runs."""
+    die with this call, before the next method runs.
+
+    Distances are fitted before the model is saved, so a --max-distance
+    below a fitted distance fails before the method writes anything."""
     model, train_seg = _train(method, args, config, train)
+    if method == "rec-mdl":
+        train_seg = _segment_types(model, train)  # every type is known: the store is unchanged
+    table = evaluation = None
+    if gold:
+        table = align.em_align(train_seg, gold, train.type_counts, max_distance=args.max_distance)
     prefix = method.replace("-", "_")
     if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)  # made at the first write
         io.save_model(model, out_dir / (prefix + ".model"))
     if method == "rec-mdl":
-        train_seg = _segment_types(model, train)
         test_seg = _segment_types(model, test)  # adapts the store to unseen words
     else:
         test_seg = _segment_types_ml(model, test)
-    evaluation = None
     if gold:
-        evaluation, _ = align.evaluate(
-            train_seg, test_seg, gold, train.type_counts, test.type_counts,
-            max_distance=args.max_distance,
-        )
+        evaluation = align.score_segmentation(test_seg, gold, test.type_counts, table)
     row = report.build_report(model, evaluation, args.char_bits)
     if out_dir:
         io.save_segmentation(train_seg, out_dir / (prefix + ".train_seg.tsv"))
@@ -344,15 +349,8 @@ def cmd_compare(args):
     align.check_max_distance(args.max_distance)
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
-    gold = None
-    if args.gold:
-        tag_filter = align.load_tag_filter(args.tags) if args.tags else None
-        gold = align.load_gold(args.gold, tag_filter)
-
+    gold = _load_gold(args) if args.gold else None
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     reports = [
         _compare_method(method, args, config, train, test, gold, out_dir)
         for method in ("rec-mdl", "seq-ml")
@@ -380,7 +378,7 @@ def main(argv=None):
     except UnicodeDecodeError as exc:  # a ValueError, but unreadable input
         print("morphseg: error: input is not valid UTF-8: %s" % exc, file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         parser.print_usage(sys.stderr)
         print("morphseg: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -6,6 +6,7 @@ belongs to the configured alphabet; otherwise the whole token is dropped.
 
 import collections
 import dataclasses
+import itertools
 import logging
 
 from .errors import EmptyCorpusError, CorpusSizeError
@@ -93,27 +94,17 @@ def read_corpus(path, config=None):
         return load_corpus(f, config)
 
 
-def split_corpus(corpus, n_train, n_test):
-    """Split off the first n_train tokens for training and the next n_test for testing."""
-    if n_train < 1:
-        raise EmptyCorpusError("training split must contain at least one token")
-    if n_test < 1:
-        raise EmptyCorpusError("test split must contain at least one token")
-    if n_train + n_test > len(corpus.tokens):
-        raise CorpusSizeError(
-            "corpus has %d tokens, need %d" % (len(corpus.tokens), n_train + n_test)
-        )
-    train = Corpus.from_tokens(corpus.tokens[:n_train])
-    test = Corpus.from_tokens(corpus.tokens[n_train : n_train + n_test])
-    return train, test
+def split_corpus(corpus, *sizes):
+    """One Corpus per size, consecutive slices taken in order from the start of corpus.
 
-
-def truncate(corpus, n_tokens):
-    """A corpus holding only the first n_tokens tokens."""
-    if n_tokens < 1:
-        raise EmptyCorpusError("cannot truncate to an empty corpus")
-    if n_tokens > len(corpus.tokens):
-        raise CorpusSizeError(
-            "corpus has %d tokens, requested %d" % (len(corpus.tokens), n_tokens)
+    Raises EmptyCorpusError for a size below 1, then CorpusSizeError when the
+    sizes add up to more tokens than the corpus has.
+    """
+    if any(n < 1 for n in sizes):
+        raise EmptyCorpusError(
+            "each split must contain at least one token; sizes were %s" % ", ".join(map(str, sizes))
         )
-    return Corpus.from_tokens(corpus.tokens[:n_tokens])
+    bounds = [0, *itertools.accumulate(sizes)]
+    if bounds[-1] > len(corpus.tokens):
+        raise CorpusSizeError("corpus has %d tokens, need %d" % (len(corpus.tokens), bounds[-1]))
+    return [Corpus.from_tokens(corpus.tokens[a:b]) for a, b in zip(bounds, bounds[1:])]

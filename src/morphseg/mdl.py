@@ -73,6 +73,8 @@ class MdlConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if self.char_bits < 1:
+            raise ValueError("char_bits must be positive")
         if self.dream_interval < 0 or self.dream_passes < 1:
             raise ValueError(
                 "dream interval must not be negative and dream passes must be at"

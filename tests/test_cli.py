@@ -734,6 +734,30 @@ def test_compare_rejects_unusable_max_distance_before_reading(workdir, capsys, v
     assert not (workdir / "run").exists()
 
 
+def test_compare_writes_nothing_before_max_distance_passes_the_fit(workdir, capsys):
+    gold = str(workdir / "gold.tsv")
+    assert main(_compare_argv(workdir, "--gold", gold, "--max-distance", "0.5")) == 3
+    assert "below the largest observed distance" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+
+
+def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
+    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
+    code = main(
+        [
+            "train", "--method", "rec-mdl",
+            "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"),
+            "--alphabet", "a", "--char-bits", "0",
+        ]
+    )
+    assert code == 2
+    assert not (workdir / "m").exists()
+    assert main(_compare_argv(workdir, "--alphabet", "a", "--char-bits", "0")) == 2
+    assert not (workdir / "run").exists()
+    assert capsys.readouterr().err.count("char_bits must be positive") == 2
+
+
 @pytest.mark.parametrize("alphabet", ["english", "finnish", "a"])
 @pytest.mark.parametrize("char_bits", [-1, 0, 4, 5, 6])
 def test_char_bits_check_rejects_exactly_the_alphabets_it_cannot_code(alphabet, char_bits):
@@ -745,9 +769,9 @@ def test_char_bits_check_rejects_exactly_the_alphabets_it_cannot_code(alphabet, 
     try:
         cli._checked_options(args, ("rec-mdl",))
         rejected = False
-    except cli.UsageError:
+    except ValueError:
         rejected = True
-    assert rejected == (size > 2 ** char_bits)
+    assert rejected == (char_bits < 1 or size > 2 ** char_bits)
 
 
 def test_huge_char_bits_is_checked_at_once(workdir):

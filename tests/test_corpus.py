@@ -11,7 +11,6 @@ from morphseg.corpus import (
     load_corpus,
     read_corpus,
     split_corpus,
-    truncate,
 )
 from morphseg.errors import CorpusSizeError, EmptyCorpusError
 
@@ -86,11 +85,12 @@ def test_split_corpus_rejects_overflow():
 
 def test_truncate():
     corpus = Corpus.from_tokens(list("abcd"))
-    assert truncate(corpus, 2).tokens == ("a", "b")
+    (head,) = split_corpus(corpus, 2)
+    assert head.tokens == ("a", "b")
     with pytest.raises(CorpusSizeError):
-        truncate(corpus, 5)
+        split_corpus(corpus, 5)
     with pytest.raises(EmptyCorpusError):
-        truncate(corpus, 0)
+        split_corpus(corpus, 0)
 
 
 def test_read_corpus_roundtrip(tmp_path):
@@ -164,3 +164,25 @@ def test_load_corpus_shares_one_string_per_type(caplog, lines, lowercase):
         assert logged == ["dropped %d tokens with out-of-alphabet characters" % dropped]
     else:
         assert logged == []
+
+
+@given(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=30),
+    st.lists(st.integers(min_value=-1, max_value=12), min_size=1, max_size=4),
+)
+def test_split_corpus_cuts_consecutive_slices(tokens, sizes):
+    corpus = Corpus.from_tokens(tokens)
+    if min(sizes) < 1:
+        with pytest.raises(EmptyCorpusError):
+            split_corpus(corpus, *sizes)
+        return
+    if sum(sizes) > len(tokens):
+        with pytest.raises(CorpusSizeError):
+            split_corpus(corpus, *sizes)
+        return
+    splits = split_corpus(corpus, *sizes)
+    start = 0
+    for size, split in zip(sizes, splits, strict=True):
+        assert split.tokens == tuple(tokens[start : start + size])
+        assert split.type_counts == collections.Counter(split.tokens)
+        start += size
