@@ -15,7 +15,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tokens", type=int, default=100000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--compound-rate", type=float, default=0.04)
     parser.add_argument("--corpus", default="corpus.txt")
     parser.add_argument("--gold", default="gold.tsv")
     parser.add_argument("--tags", default="tags.txt")
@@ -24,7 +23,7 @@ def main():
     if args.tokens < 1 or args.per_line < 1:
         parser.error("--tokens and --per-line must be at least 1")
 
-    tokens, gold_lines, tags = generate(args.tokens, args.seed, args.compound_rate)
+    tokens, gold_lines, tags = generate(args.tokens, args.seed)
     io.write_lines(
         args.corpus,
         (" ".join(tokens[i : i + args.per_line]) for i in range(0, len(tokens), args.per_line)),

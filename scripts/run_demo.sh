@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end demo: synthesize a corpus, then run every morphseg subcommand on
-# it (compare both methods, keeping the table in out/table.txt, train each
+# it (compare both methods, keeping the table in table.txt, train each
 # method and check that train writes the same models and cost curve as
 # compare, segment the held-out words with each model, evaluate one method's
 # segmentations) and list the files written. Every file it writes is
@@ -14,16 +14,15 @@ mkdir -p "$DIR"
 python3 scripts/make_corpus.py --tokens 40000 --seed 1 \
     --corpus "$DIR/corpus.txt" --gold "$DIR/gold.tsv" --tags "$DIR/tags.txt"
 
-# the comparison table is kept beside the files it describes; it holds no
-# timing, so two runs can be compared with diff -r
-mkdir -p "$DIR/out"
+# compare itself makes out/ and writes the cost curve inside it; the table
+# holds no timing, so two runs can be compared with diff -r
 morphseg compare \
     --corpus "$DIR/corpus.txt" --alphabet english \
     --train-tokens 30000 --test-tokens 10000 \
     --gold "$DIR/gold.tsv" --tags "$DIR/tags.txt" \
     --seed 42 --out-dir "$DIR/out" --cost-curve "$DIR/out/curve.csv" \
-    > "$DIR/out/table.txt"
-cat "$DIR/out/table.txt"
+    > "$DIR/table.txt"
+cat "$DIR/table.txt"
 
 mkdir -p "$DIR/train"
 morphseg train --method rec-mdl --corpus "$DIR/corpus.txt" --train-tokens 30000 \

@@ -111,40 +111,36 @@ def build_parser():
 # -- train ----------------------------------------------------------------
 
 
-def _checked_options(args, methods):
-    """(preprocessing config, rec-mdl config or None) for the given methods.
+def _checked_options(args):
+    """(preprocessing config, rec-mdl config) of train's or compare's options.
 
-    Raises ValueError for an option the methods cannot use, so that train
-    and compare reject it before any input is read.
+    Raises ValueError for an option either method cannot use, whatever
+    --method says, so that an unusable one is rejected before any input is read.
     """
     # --alphabet is a preset name or an explicit string of allowed characters
     alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
     pre = PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
-    config = None
-    if args.cost_curve and "rec-mdl" not in methods:
-        raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
-    if "rec-mdl" in methods:
-        # len(alphabet) > 2**k without building 2**k: a huge k would need gigabytes
-        if (len(pre.alphabet) - 1).bit_length() > args.char_bits:
-            raise ValueError(
-                "alphabet has %d characters; %d bits per character can code only %d"
-                % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)
-            )
-        config = MdlConfig(
-            char_bits=args.char_bits,
-            dream_interval=args.dream_interval,
-            dream_passes=args.dream_passes,
-            seed=args.seed,
+    config = MdlConfig(
+        char_bits=args.char_bits,
+        dream_interval=args.dream_interval,
+        dream_passes=args.dream_passes,
+        seed=args.seed,
+    )
+    # --char-bits prices both codebooks; len(alphabet) > 2**k without building 2**k
+    if (len(pre.alphabet) - 1).bit_length() > args.char_bits:
+        raise ValueError(
+            "alphabet has %d characters; %d bits per character can code only %d"
+            % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)
         )
-    if "seq-ml" in methods:
-        ml.check_interval_mean(args.interval_mean)
-        if args.iterations < 1:
-            raise ValueError("need at least one seq-ml iteration")
+    ml.check_interval_mean(args.interval_mean)
+    if args.iterations < 1:
+        raise ValueError("need at least one seq-ml iteration")
     return pre, config
 
 
 def _train(method, args, config, corpus):
-    """(model, training segmentation or None); rec-mdl writes --cost-curve if given.
+    """(model, training segmentation or None, cost curve or None); the curve
+    is rec-mdl's, kept when --cost-curve is given. Writes no file.
     Logs one INFO record, args (method, tokens, morphs, bits of build_report,
     seconds spent in the training call)."""
     segmentation = None
@@ -161,24 +157,26 @@ def _train(method, args, config, corpus):
             use_rejection=not args.no_reject,
         )
     seconds = time.perf_counter() - start
-    if curve is not None:
-        io.write_cost_curve(curve, args.cost_curve)
     # the cost on the scale of compare's report: corpus plus codebook bits
     row = report.build_report(model, char_bits=args.char_bits)
     _logger.info(
         "%s trained on %d tokens: %d morphs, %.1f bits, %.1f s",
         method, len(corpus), row.codebook_morphs, row.total_cost_bits, seconds,
     )
-    return model, segmentation
+    return model, segmentation, curve
 
 
 def cmd_train(args):
-    pre, config = _checked_options(args, (args.method,))
+    pre, config = _checked_options(args)
+    if args.cost_curve and args.method == "seq-ml":
+        raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
         (corpus,) = split_corpus(corpus, args.train_tokens)
-    model, _ = _train(args.method, args, config, corpus)
+    model, _, curve = _train(args.method, args, config, corpus)
     io.save_model(model, args.model)
+    if curve is not None:
+        io.write_cost_curve(curve, args.cost_curve)
     return 0
 
 
@@ -320,8 +318,9 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
     die with this call, before the next method runs.
 
     Distances are fitted before the model is saved, so a --max-distance
-    below a fitted distance fails before the method writes anything."""
-    model, train_seg = _train(method, args, config, train)
+    below a fitted distance fails before the method writes anything; the
+    rec-mdl cost curve is written right after its model."""
+    model, train_seg, curve = _train(method, args, config, train)
     if method == "rec-mdl":
         train_seg = _segment_types(model, train)  # every type is known: the store is unchanged
     table = evaluation = None
@@ -331,6 +330,8 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)  # made at the first write
         io.save_model(model, out_dir / (prefix + ".model"))
+    if curve is not None:
+        io.write_cost_curve(curve, args.cost_curve)
     if method == "rec-mdl":
         test_seg = _segment_types(model, test)  # adapts the store to unseen words
     else:
@@ -345,7 +346,7 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
 
 
 def cmd_compare(args):
-    pre, config = _checked_options(args, ("rec-mdl", "seq-ml"))
+    pre, config = _checked_options(args)
     align.check_max_distance(args.max_distance)
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
@@ -382,10 +383,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         print("morphseg: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except MorphsegError as exc:
-        print("morphseg: error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (MorphsegError, OSError) as exc:
         print("morphseg: error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
 

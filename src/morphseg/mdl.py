@@ -28,6 +28,7 @@ _log2 = math.log2
 DEFAULT_SEED = 42
 DREAM_THRESHOLD = 1e-4  # stop extra dreaming passes below this relative gain
 CURVE_INTERVAL = 2000  # tokens between cost-curve checkpoints
+COST_REL_TOL = 1e-9  # check_integrity's bound on tracked-cost drift, relative to the cost
 
 
 @dataclasses.dataclass(slots=True)
@@ -355,7 +356,7 @@ class ChunkStore:
                 store.word_counts[text] = own
         return store
 
-    def check_integrity(self, cost_rel_tol=1e-9):
+    def check_integrity(self):
         """Verify the count flow, leaf bookkeeping, and tracked cost.
 
         Raises MorphsegError on the first violation found.
@@ -386,7 +387,7 @@ class ChunkStore:
             )
         scratch = self.total_cost().total_bits
         tracked = self.tracked_cost
-        if abs(tracked - scratch) > cost_rel_tol * max(scratch, 1.0):
+        if abs(tracked - scratch) > COST_REL_TOL * max(scratch, 1.0):
             raise MorphsegError(
                 "tracked cost %.12f drifted from recomputed %.12f" % (tracked, scratch)
             )

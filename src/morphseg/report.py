@@ -47,28 +47,25 @@ def build_report(model, evaluation=None, char_bits=5):
     its own.
     """
     if isinstance(model, ChunkStore):
-        method = "rec-mdl"
-        cost = model.total_cost()
-        morphs = model.codebook_size()
+        method, counts, char_bits = "rec-mdl", dict(model.iter_morphs()), model.char_bits
     elif isinstance(model, MorphStats):
-        method = "seq-ml"
-        cost = MdlCost.of(model.counts, char_bits)
-        morphs = len(model.counts)
+        method, counts = "seq-ml", model.counts
     else:
         raise TypeError("unsupported model type: %r" % type(model).__name__)
+    cost = MdlCost.of(counts, char_bits)
     total = cost.total_bits
     return MetricsReport(
         method=method,
         total_cost_bits=total,
         corpus_cost_bits=cost.corpus_bits,
         codebook_cost_bits=cost.codebook_bits,
-        codebook_morphs=morphs,
+        codebook_morphs=len(counts),
         relative_codebook_cost=cost.codebook_bits / total if total else 0.0,
         alignment_distance_bits=(
             evaluation.alignment_distance_bits if evaluation else None
         ),
         unseen_pair_pct=evaluation.unseen_pair_pct if evaluation else None,
-        cost_footnote=isinstance(model, MorphStats),
+        cost_footnote=method == "seq-ml",
     )
 
 
@@ -82,14 +79,15 @@ def read_metrics(path):
         return [MetricsReport(**json.loads(line)) for line in f if line.strip()]
 
 
+# label, field, format, scale applied to the value before formatting
 _ROWS = (
-    ("Total cost [bits]", "total_cost_bits", "%.1f"),
-    ("Corpus cost [bits]", "corpus_cost_bits", "%.1f"),
-    ("Codebook cost [bits]", "codebook_cost_bits", "%.1f"),
-    ("Morphs in codebook", "codebook_morphs", "%d"),
-    ("Relative codebook cost", "relative_codebook_cost", None),
-    ("Alignment distance [bits]", "alignment_distance_bits", "%.1f"),
-    ("Unseen aligned pairs", "unseen_pair_pct", None),
+    ("Total cost [bits]", "total_cost_bits", "%.1f", 1),
+    ("Corpus cost [bits]", "corpus_cost_bits", "%.1f", 1),
+    ("Codebook cost [bits]", "codebook_cost_bits", "%.1f", 1),
+    ("Morphs in codebook", "codebook_morphs", "%d", 1),
+    ("Relative codebook cost", "relative_codebook_cost", "%.2f%%", 100.0),
+    ("Alignment distance [bits]", "alignment_distance_bits", "%.1f", 1),
+    ("Unseen aligned pairs", "unseen_pair_pct", "%.2f%%", 1),
 )
 
 _TITLES = {"rec-mdl": "Rec. MDL", "seq-ml": "Seq. ML"}
@@ -99,20 +97,13 @@ def format_comparison(reports):
     """Aligned text table, one column per method."""
     headers = [_TITLES.get(r.method, r.method) for r in reports]
     rows = []
-    for name, attr, fmt in _ROWS:
+    for name, attr, fmt, scale in _ROWS:
         values = [getattr(r, attr) for r in reports]
         if all(v is None for v in values):
             continue
         cells = []
         for report, value in zip(reports, values):
-            if value is None:
-                cell = "-"
-            elif attr == "relative_codebook_cost":
-                cell = "%.2f%%" % (100.0 * value)
-            elif attr == "unseen_pair_pct":
-                cell = "%.2f%%" % value
-            else:
-                cell = fmt % value
+            cell = "-" if value is None else fmt % (scale * value)
             if attr == "total_cost_bits" and report.cost_footnote:
                 cell += " *"
             cells.append(cell)

@@ -48,6 +48,7 @@ ADJ_FORMS = [("", None), ("er", "CMP"), ("est", "SUP"), ("ly", "<DER:ly>")]
 ADJ_WEIGHTS = [52, 16, 8, 24]
 
 POS_TAGS = {"N": NOUN_FORMS, "V": VERB_FORMS, "A": ADJ_FORMS}
+COMPOUND_RATE = 0.04  # share of noun tokens given a second noun base
 VOWELS = set("aeiou")
 
 
@@ -65,9 +66,8 @@ def _zipf_weights(n):
 class SyntheticEnglish:
     """Draws word tokens and remembers the analysis of every type seen."""
 
-    def __init__(self, seed=0, compound_rate=0.04):
+    def __init__(self, seed=0):
         self.rng = random.Random(seed)
-        self.compound_rate = compound_rate
         self.gold = {}  # word -> (base constituents, pos tag, affix tags)
         self._pos_pool = (
             [("N", s) for s in NOUNS] + [("V", s) for s in VERBS] + [("A", s) for s in ADJECTIVES]
@@ -80,7 +80,7 @@ class SyntheticEnglish:
         rng = self.rng
         pos, stem = rng.choices(self._pos_pool, weights=self._pool_weights)[0]
         bases = [stem]
-        if pos == "N" and rng.random() < self.compound_rate:
+        if pos == "N" and rng.random() < COMPOUND_RATE:
             _, second = rng.choices(
                 self._pos_pool[: len(NOUNS)], weights=self._pool_weights[: len(NOUNS)]
             )[0]
@@ -113,8 +113,8 @@ class SyntheticEnglish:
 AFFIX_TAGS = ["PL", "GEN", "SG3", "PAST", "PCP1", "AGENT", "CMP", "SUP", "<DER:ly>"]
 
 
-def generate(n_tokens, seed=0, compound_rate=0.04):
+def generate(n_tokens, seed=0):
     """Return (token list, gold TSV lines, affix tags to keep)."""
-    gen = SyntheticEnglish(seed, compound_rate)
+    gen = SyntheticEnglish(seed)
     tokens = gen.tokens(n_tokens)
     return tokens, gen.gold_lines(), list(AFFIX_TAGS)

@@ -169,6 +169,35 @@ def test_train_checks_options_before_reading_the_corpus(workdir, method, option,
     assert not (workdir / "m").exists()
 
 
+@pytest.mark.parametrize(
+    "method, option, value, message",
+    [
+        # --char-bits also prices the seq-ml codebook in the log and the report
+        ("seq-ml", "--char-bits", "-5", "char_bits must be positive"),
+        ("seq-ml", "--char-bits", "0", "char_bits must be positive"),
+        ("seq-ml", "--char-bits", "4", "bits per character can code only 16"),
+        ("seq-ml", "--dream-interval", "-1", "dream interval must not be negative"),
+        ("seq-ml", "--dream-passes", "0", "dream passes must be at least 1"),
+        ("rec-mdl", "--lambda", "0", "lambda must be at least"),
+        ("rec-mdl", "--iterations", "0", "need at least one seq-ml iteration"),
+    ],
+)
+def test_train_checks_every_method_option_whatever_the_method(
+    workdir, capsys, method, option, value, message
+):
+    code = main(
+        [
+            "train", "--method", method,
+            "--corpus", str(workdir / "missing.txt"),  # an exit 3 would mean it was read
+            "--model", str(workdir / "m"),
+            option, value,
+        ]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "m").exists()
+
+
 def test_unknown_option_exits_2(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])
@@ -741,6 +770,29 @@ def test_compare_writes_nothing_before_max_distance_passes_the_fit(workdir, caps
     assert not (workdir / "run").exists()
 
 
+def test_compare_writes_the_cost_curve_into_the_out_dir_it_makes(workdir, capsys):
+    common = ["--corpus", str(workdir / "corpus.txt"), "--train-tokens", "900",
+              "--dream-interval", "400", "--iterations", "2"]
+    train_curve = workdir / "train_curve.csv"
+    argv = ["train", "--method", "rec-mdl", "--model", str(workdir / "m"),
+            "--cost-curve", str(train_curve)]
+    assert main(argv + common) == 0
+    for out_dir, extra, code in [
+        (workdir / "run", [], 0),
+        # a fit that fails leaves neither the directory nor the curve in it
+        (workdir / "failed", ["--gold", str(workdir / "gold.tsv"), "--max-distance", "0.5"], 3),
+    ]:
+        curve = out_dir / "curve.csv"
+        argv = ["compare", "--test-tokens", "300", "--out-dir", str(out_dir),
+                "--cost-curve", str(curve)]
+        assert main(argv + common + extra) == code
+        if code == 0:
+            assert curve.read_bytes() == train_curve.read_bytes()
+        else:
+            assert "below the largest observed distance" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+
 def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
     (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
     code = main(
@@ -761,17 +813,18 @@ def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
 @pytest.mark.parametrize("alphabet", ["english", "finnish", "a"])
 @pytest.mark.parametrize("char_bits", [-1, 0, 4, 5, 6])
 def test_char_bits_check_rejects_exactly_the_alphabets_it_cannot_code(alphabet, char_bits):
-    args = build_parser().parse_args(
-        ["train", "--method", "rec-mdl", "--corpus", "c", "--model", "m",
-         "--alphabet", alphabet, "--char-bits", str(char_bits)]
-    )
     size = len(cli.ALPHABETS.get(alphabet) or set(alphabet))
-    try:
-        cli._checked_options(args, ("rec-mdl",))
-        rejected = False
-    except ValueError:
-        rejected = True
-    assert rejected == (char_bits < 1 or size > 2 ** char_bits)
+    for method in ("rec-mdl", "seq-ml"):  # --char-bits prices either codebook
+        args = build_parser().parse_args(
+            ["train", "--method", method, "--corpus", "c", "--model", "m",
+             "--alphabet", alphabet, "--char-bits", str(char_bits)]
+        )
+        try:
+            cli._checked_options(args)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == (char_bits < 1 or size > 2 ** char_bits), method
 
 
 def test_huge_char_bits_is_checked_at_once(workdir):
