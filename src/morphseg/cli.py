@@ -138,6 +138,16 @@ def _checked_options(args):
     return pre, config
 
 
+def _check_output_dirs(paths, made_dir=None):
+    """Raise MorphsegError naming an output path whose directory is missing
+    and is not made_dir, the --out-dir compare makes at its first write."""
+    made = made_dir and Path(made_dir).resolve()
+    for path in filter(None, paths):
+        parent = Path(path).resolve().parent
+        if not parent.is_dir() and parent != made:
+            raise MorphsegError("output directory does not exist: %r" % (path,))
+
+
 def _train(method, args, config, corpus):
     """(model, training segmentation or None, cost curve or None); the curve
     is rec-mdl's, kept when --cost-curve is given. Writes no file.
@@ -170,6 +180,7 @@ def cmd_train(args):
     pre, config = _checked_options(args)
     if args.cost_curve and args.method == "seq-ml":
         raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
+    _check_output_dirs([args.model, args.cost_curve])
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
         (corpus,) = split_corpus(corpus, args.train_tokens)
@@ -348,6 +359,7 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
 def cmd_compare(args):
     pre, config = _checked_options(args)
     align.check_max_distance(args.max_distance)
+    _check_output_dirs([args.cost_curve], args.out_dir)
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = _load_gold(args) if args.gold else None

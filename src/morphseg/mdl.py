@@ -11,7 +11,8 @@ counts of its parents plus its own top-level insertions. The model cost is
 with p estimated by maximum likelihood from the leaf counts. Splits are
 chosen greedily and revised online as more text arrives; periodic
 "dreaming" passes reprocess known words to let early decisions catch up
-with the grown model.
+with the grown model. Each split point is priced by its exact cost change,
+read without changing the store; ties go to no split, then the leftmost.
 """
 
 import dataclasses
@@ -28,7 +29,11 @@ _log2 = math.log2
 DEFAULT_SEED = 42
 DREAM_THRESHOLD = 1e-4  # stop extra dreaming passes below this relative gain
 CURVE_INTERVAL = 2000  # tokens between cost-curve checkpoints
-COST_REL_TOL = 1e-9  # check_integrity's bound on tracked-cost drift, relative to the cost
+
+
+def _xlog2x(x):
+    """x * log2(x) of a count; 0.0 for 0 and 1."""
+    return x * _log2(x) if x > 1 else 0.0
 
 
 @dataclasses.dataclass(slots=True)
@@ -83,36 +88,8 @@ class MdlConfig:
             )
 
 
-class _NeumaierSum:
-    """Compensated running sum; keeps float error near one rounding step.
-
-    The corpus cost needs sum(c * log2 c) maintained across millions of
-    small adds and exact-value removals, and the tracked total must stay
-    within 1e-9 relative of a from-scratch recomputation.
-    """
-
-    __slots__ = ("high", "low")
-
-    def __init__(self):
-        self.high = 0.0
-        self.low = 0.0
-
-    def add(self, x):
-        s = self.high
-        t = s + x
-        if abs(s) >= abs(x):
-            self.low += (s - t) + x
-        else:
-            self.low += (x - t) + s
-        self.high = t
-
-    @property
-    def value(self):
-        return self.high + self.low
-
-
 class ChunkStore:
-    """Hierarchical chunk model plus incrementally tracked cost."""
+    """Hierarchical chunk model."""
 
     def __init__(self, char_bits=5):
         if char_bits < 1:
@@ -122,28 +99,17 @@ class ChunkStore:
         # top-level insertion tallies, i.e. how often each word was fed in
         self.word_counts = {}
         self._leaf_tokens = 0  # total count over leaf chunks
-        self._leaf_chars = 0  # total text length over leaf chunks
-        self._plogp = _NeumaierSum()  # sum of count*log2(count) over leaves
 
     # -- cost ---------------------------------------------------------
 
     @property
     def tracked_cost(self):
-        """Total cost in bits, maintained incrementally."""
-        n = self._leaf_tokens
-        if n == 0:
-            return 0.0
-        corpus = n * _log2(n) - self._plogp.value
-        if corpus < 0.0:  # accumulator noise around an exact zero
-            corpus = 0.0
-        return corpus + self.char_bits * self._leaf_chars
+        """Total cost in bits, as total_cost() prices it."""
+        return self.total_cost().total_bits
 
     def total_cost(self):
-        """Recompute the cost from the stored chunks, ignoring the tracker."""
+        """The cost of the stored chunks' codebook."""
         return MdlCost.of(dict(self.iter_morphs()), self.char_bits)
-
-    def codebook_size(self):
-        return sum(1 for c in self.chunks.values() if c.split == 0)
 
     def iter_morphs(self):
         """Leaf chunks, i.e. the current codebook with usage counts."""
@@ -158,13 +124,11 @@ class ChunkStore:
     # on both sides of a split receives it twice. A missing chunk is created
     # as a leaf only by a positive amount; a negative one that reaches a
     # missing chunk means the flow is broken and raises KeyError. A chunk
-    # whose count reaches zero is deleted. A leaf's old count*log2(count)
-    # term leaves the tracker before its new one enters: the tracker is a
-    # float sum, so the order of its adds fixes the costs that decide splits.
+    # whose count reaches zero is deleted. The leaf token total kept alongside
+    # is an integer, so the order of its updates decides nothing.
 
     def _flow(self, text, amount):
         chunks = self.chunks
-        plogp = self._plogp
         stack = [text]
         while stack:
             t = stack.pop()
@@ -173,22 +137,14 @@ class ChunkStore:
                 if amount < 0:
                     raise KeyError(t)
                 chunks[t] = node = Chunk(t, 0)
-                self._leaf_chars += len(t)
-            c0 = node.count
-            node.count = c1 = c0 + amount
+            node.count += amount
             s = node.split
             if s:
                 stack.append(t[:s])
                 stack.append(t[s:])
             else:
                 self._leaf_tokens += amount
-                if c0 > 1:
-                    plogp.add(-(c0 * _log2(c0)))
-                if c1 > 1:
-                    plogp.add(c1 * _log2(c1))
-                elif c1 == 0:
-                    self._leaf_chars -= len(t)
-            if c1 == 0:
+            if node.count == 0:
                 del chunks[t]
 
     def _split_leaf(self, node, i):
@@ -196,9 +152,6 @@ class ChunkStore:
         c = node.count
         node.split = i
         self._leaf_tokens -= c
-        self._leaf_chars -= len(node.text)
-        if c > 1:
-            self._plogp.add(-(c * _log2(c)))
         text = node.text
         self._flow(text[:i], c)
         self._flow(text[i:], c)
@@ -214,19 +167,52 @@ class ChunkStore:
         self._flow(text[s:], -c)
         node.count = count
         self._leaf_tokens += count
-        self._leaf_chars += len(text)
-        if count > 1:
-            self._plogp.add(count * _log2(count))
 
     # -- search --------------------------------------------------------
+
+    def _split_change(self, text, c, i):
+        """Exact change in bits from splitting the leaf chunk text (count c) at i.
+
+        The store is not changed. c would flow down both parts' split trees:
+        each leaf reached gains c per path, and a missing part becomes a new
+        leaf. The cost is f(N) - sum of f(leaf count) + char_bits * leaf
+        characters with f(x) = x*log2(x), so the change is one math.fsum of
+        the f terms that change and the codebook change. fsum rounds their
+        exact sum once: splits leaving equal leaf-count multisets tie exactly.
+        """
+        chunks = self.chunks
+        reached = {}
+        stack = [text[:i], text[i:]]
+        while stack:
+            t = stack.pop()
+            node = chunks.get(t)
+            s = node.split if node is not None else 0
+            if s:
+                stack.append(t[:s])
+                stack.append(t[s:])
+            else:
+                reached[t] = reached.get(t, 0) + c
+        n = self._leaf_tokens
+        terms = [_xlog2x(n - c + sum(reached.values())), -_xlog2x(n), _xlog2x(c)]
+        chars = -len(text)
+        for t, gain in reached.items():
+            node = chunks.get(t)
+            if node is None:
+                chars += len(t)
+            old = node.count if node is not None else 0
+            terms.append(_xlog2x(old))
+            terms.append(-_xlog2x(old + gain))
+        terms.append(float(self.char_bits * chars))
+        return math.fsum(terms)
 
     def recursive_split(self, text):
         """Greedily re-derive the split structure under a chunk.
 
-        Evaluates keeping the chunk whole against every two-way split by
-        provisionally applying each one and reading the true total cost,
-        commits the cheapest, and recurses on the parts of a committed
-        split. Ties favor no split, then the leftmost split point.
+        Commits the split whose _split_change is lowest and below 0.0, the
+        change of keeping the chunk whole, and recurses on its parts. Ties
+        favor no split, then the leftmost split point. A split into two
+        different missing parts is skipped: turning one leaf of count c into
+        two adds f(N + c) - f(N) - f(c) >= 2 bits, so it never wins.
         """
         stack = [text]
         chunks = self.chunks
@@ -235,16 +221,18 @@ class ChunkStore:
             if len(t) < 2:
                 continue
             node = chunks[t]
+            c = node.count
             if node.split:
-                self._unsplit(node, node.count)
-            best_cost = self.tracked_cost
+                self._unsplit(node, c)
+            best_change = 0.0
             best_i = 0
             for i in range(1, len(t)):
-                self._split_leaf(node, i)
-                cost = self.tracked_cost
-                self._unsplit(node, node.count)
-                if cost < best_cost:
-                    best_cost = cost
+                left, right = t[:i], t[i:]
+                if left != right and left not in chunks and right not in chunks:
+                    continue
+                change = self._split_change(t, c, i)
+                if change < best_change:
+                    best_change = change
                     best_i = i
             if best_i:
                 self._split_leaf(node, best_i)
@@ -331,8 +319,8 @@ class ChunkStore:
 
     @classmethod
     def from_chunks(cls, chunks, char_bits):
-        """A store holding chunks (text -> Chunk), its trackers and
-        top-level word tallies derived from them.
+        """A store holding chunks (text -> Chunk), with its leaf token
+        total and top-level word tallies derived from them.
 
         A word's own insertions are its count minus the flow from its
         parents, which makes a store read back from its chunks fully
@@ -346,9 +334,6 @@ class ChunkStore:
             c = chunk.count
             if chunk.split == 0:
                 store._leaf_tokens += c
-                store._leaf_chars += len(text)
-                if c > 1:
-                    store._plogp.add(c * _log2(c))
             own = c - inflow.get(text, 0)
             if own < 0:
                 raise MorphsegError("count of %r is below the flow from its parents" % (text,))
@@ -357,7 +342,7 @@ class ChunkStore:
         return store
 
     def check_integrity(self):
-        """Verify the count flow, leaf bookkeeping, and tracked cost.
+        """Verify the count flow and the leaf token total.
 
         Raises MorphsegError on the first violation found.
         """
@@ -384,12 +369,6 @@ class ChunkStore:
             raise MorphsegError(
                 "leaf token tracker %d != %d implied by word traces"
                 % (self._leaf_tokens, morph_tokens)
-            )
-        scratch = self.total_cost().total_bits
-        tracked = self.tracked_cost
-        if abs(tracked - scratch) > COST_REL_TOL * max(scratch, 1.0):
-            raise MorphsegError(
-                "tracked cost %.12f drifted from recomputed %.12f" % (tracked, scratch)
             )
 
     def __eq__(self, other):

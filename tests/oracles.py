@@ -91,10 +91,10 @@ def brute_force_align(morphs, labels, table):
 def traced_flat_cost(store):
     """Chunk-store cost recomputed from word traces alone.
 
-    Ignores all stored counts and trackers: segments every known word,
-    tallies morph tokens weighted by how often the word was fed in, and
-    prices the result as a flat lexicon. Agreement with tracked_cost
-    checks the count flow and the incremental accumulators at once.
+    Ignores all stored counts: segments every known word, tallies morph
+    tokens weighted by how often the word was fed in, and prices the
+    result as a flat lexicon. Agreement with tracked_cost, which prices
+    the stored leaf counts, checks the count flow.
     """
     counts = {}
     for word, n in store.word_counts.items():
@@ -146,18 +146,59 @@ def em_align_keeping_paths(
     return table
 
 
+def _cost_terms(store):
+    """The float terms whose sum is a chunk store's cost, recounted from its
+    leaves: N*log2(N), -c*log2(c) for each leaf count c, and the codebook bits."""
+    leaves = [chunk for chunk in store.chunks.values() if chunk.split == 0]
+    n = sum(chunk.count for chunk in leaves)
+    terms = [n * math.log2(n)] if n else []
+    terms += [-(chunk.count * math.log2(chunk.count)) for chunk in leaves]
+    terms.append(float(store.char_bits * sum(len(chunk.text) for chunk in leaves)))
+    return terms
+
+
+class ExhaustiveSplitStore(ChunkStore):
+    """ChunkStore whose split search applies every split point in turn.
+
+    Each candidate is applied, the whole store is priced from its leaves,
+    and the split is undone; no split point is skipped. Candidates are
+    ordered by the exact sum of the priced store's float terms, then by
+    split point, with keeping the chunk whole as split point 0, so ties
+    favor no split, then the leftmost split.
+    """
+
+    def recursive_split(self, text):
+        stack = [text]
+        while stack:
+            t = stack.pop()
+            if len(t) < 2:
+                continue
+            node = self.chunks[t]
+            if node.split:
+                self._unsplit(node, node.count)
+            best = (sum(map(exact_units, _cost_terms(self))), 0)
+            for i in range(1, len(t)):
+                self._split_leaf(node, i)
+                best = min(best, (sum(map(exact_units, _cost_terms(self))), i))
+                self._unsplit(node, node.count)
+            i = best[1]
+            if i:
+                self._split_leaf(node, i)
+                stack.append(t[i:])
+                stack.append(t[:i])
+
+
 class MirroredFlowStore(ChunkStore):
     """ChunkStore with the count flow written as two mirror-image walks.
 
     Adding and removing flow are separate routines, and settling a word
-    handles a new, a leaf and a split chunk in three branches, each with
-    its own tracker updates. ChunkStore's one signed flow must leave
-    chunks, trackers and both compensated-sum parts bit-equal to this.
+    handles a new, a leaf and a split chunk in three branches. ChunkStore's
+    one signed flow must leave chunks, counts and the leaf token total
+    equal to this.
     """
 
     def _add_flow(self, text, amount):
         chunks = self.chunks
-        plogp = self._plogp
         stack = [text]
         while stack:
             t = stack.pop()
@@ -165,54 +206,35 @@ class MirroredFlowStore(ChunkStore):
             if node is None:
                 chunks[t] = Chunk(t, amount)
                 self._leaf_tokens += amount
-                self._leaf_chars += len(t)
-                if amount > 1:
-                    plogp.add(amount * math.log2(amount))
             else:
-                c0 = node.count
-                node.count = c1 = c0 + amount
+                node.count += amount
                 s = node.split
                 if s == 0:
                     self._leaf_tokens += amount
-                    if c0 > 1:
-                        plogp.add(-(c0 * math.log2(c0)))
-                    plogp.add(c1 * math.log2(c1))
                 else:
                     stack.append(t[:s])
                     stack.append(t[s:])
 
     def _remove_flow(self, text, amount):
         chunks = self.chunks
-        plogp = self._plogp
         stack = [text]
         while stack:
             t = stack.pop()
             node = chunks[t]
-            c0 = node.count
-            node.count = c1 = c0 - amount
+            node.count -= amount
             s = node.split
             if s == 0:
                 self._leaf_tokens -= amount
-                if c0 > 1:
-                    plogp.add(-(c0 * math.log2(c0)))
-                if c1 > 1:
-                    plogp.add(c1 * math.log2(c1))
-                if c1 == 0:
-                    del chunks[t]
-                    self._leaf_chars -= len(t)
             else:
                 stack.append(t[:s])
                 stack.append(t[s:])
-                if c1 == 0:
-                    del chunks[t]
+            if node.count == 0:
+                del chunks[t]
 
     def _split_leaf(self, node, i):
         c = node.count
         node.split = i
         self._leaf_tokens -= c
-        self._leaf_chars -= len(node.text)
-        if c > 1:
-            self._plogp.add(-(c * math.log2(c)))
         text = node.text
         self._add_flow(text[:i], c)
         self._add_flow(text[i:], c)
@@ -227,16 +249,12 @@ class MirroredFlowStore(ChunkStore):
         self._remove_flow(text[:s], c)
         self._remove_flow(text[s:], c)
         self._leaf_tokens += c
-        self._leaf_chars += len(text)
-        if c > 1:
-            self._plogp.add(c * math.log2(c))
 
     def _settle_unsplit(self, word):
         node = self.chunks.get(word)
         if node is None:
             self.chunks[word] = Chunk(word, 1)
             self._leaf_tokens += 1
-            self._leaf_chars += len(word)
             return
         c0 = node.count
         c1 = c0 + 1
@@ -247,10 +265,6 @@ class MirroredFlowStore(ChunkStore):
             self._remove_flow(word[s:], c0)
             node.count = c1
             self._leaf_tokens += c1
-            self._leaf_chars += len(word)
         else:
             node.count = c1
             self._leaf_tokens += 1
-            if c0 > 1:
-                self._plogp.add(-(c0 * math.log2(c0)))
-        self._plogp.add(c1 * math.log2(c1))

@@ -793,6 +793,28 @@ def test_compare_writes_the_cost_curve_into_the_out_dir_it_makes(workdir, capsys
             assert not out_dir.exists()
 
 
+def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys, monkeypatch):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("read the corpus despite a missing output directory")
+
+    monkeypatch.setattr(cli, "read_corpus", no_reading)
+    missing = workdir / "missing"
+    curve = str(missing / "curve.csv")
+    below_out_dir = str(workdir / "run" / "sub" / "curve.csv")  # compare makes only run/
+    train = ["train", "--method", "rec-mdl", "--corpus", str(workdir / "corpus.txt")]
+    for path, argv in [
+        (str(missing / "m"), train + ["--model", str(missing / "m")]),
+        (curve, train + ["--model", str(workdir / "m"), "--cost-curve", curve]),
+        (curve, _compare_argv(workdir, "--cost-curve", curve)),
+        (below_out_dir, _compare_argv(workdir, "--cost-curve", below_out_dir)),
+    ]:
+        assert main(argv) == 3
+        assert "output directory does not exist: %r" % path in capsys.readouterr().err
+        assert not (workdir / "m").exists()
+        assert not (workdir / "run").exists()
+    assert not missing.exists()
+
+
 def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
     (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
     code = main(
