@@ -257,6 +257,7 @@ def _segment_records(model, words):
 
 
 def cmd_segment(args):
+    _check_output_dirs([args.out])
     model = io.load_model(args.model)
     words = _read_words(args.words, not args.no_lowercase)
     io.write_records(args.out, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
@@ -282,6 +283,7 @@ def cmd_eval(args):
     align.check_max_distance(args.max_distance)
     if args.em_iterations < 1:
         raise ValueError("need at least one alignment EM iteration")
+    _check_output_dirs([args.out, args.dump_alignments])
     train_seg = io.load_segmentation(args.train_seg)
     test_seg = io.load_segmentation(args.test_seg)
     gold = _load_gold(args)

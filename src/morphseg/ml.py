@@ -31,7 +31,8 @@ class MorphStats:
     total: sum of counts.
     type_usage: morph -> number of distinct word types using it.
     longest: length of the longest morph, set from counts at construction.
-    price: morph -> its cost in bits, log2(total / count), set likewise.
+    price: morph -> its cost log2(total / count) as an exact integer number of
+        2**-104 bits, set likewise, so that sums of prices compare exactly.
     """
 
     counts: dict
@@ -43,7 +44,11 @@ class MorphStats:
     def __post_init__(self):
         self.longest = max(map(len, self.counts), default=0)
         total = self.total
-        self.price = {m: math.log2(total / c) for m, c in self.counts.items()}
+        # every count c is at most total (from_segmentation and load_ml_model
+        # sum the counts into it), so total / c is 1.0 or at least 1 + 2**-52
+        # and the float log2 is 0.0 or above 2**-52: a whole multiple of
+        # 2**-104 with at most 53 significant bits, scaled here without loss
+        self.price = {m: int(math.log2(total / c) * 2.0**104) for m, c in self.counts.items()}
 
     @classmethod
     def from_segmentation(cls, segmentation, type_counts):
@@ -118,31 +123,13 @@ def random_segment(word, rng, mean_interval=DEFAULT_INTERVAL_MEAN):
         pos += k
 
 
-def _cut(word, bounds, end):
-    """The morphs of word[:end] cut at the inner boundary tuple bounds."""
-    edges = (0,) + bounds + (end,)
-    return [word[i:j] for i, j in zip(edges, edges[1:])]
-
-
-def _exact_gap(word, end, bounds_a, bounds_b, price):
-    """Sign-exact difference of the price sums of two segmentations of word[:end].
-
-    math.fsum rounds the exact sum correctly, so the result is zero exactly
-    when the sums are equal and otherwise has the sign of their difference.
-    """
-    terms = [price[m] for m in _cut(word, bounds_a, end)]
-    terms += [-price[m] for m in _cut(word, bounds_b, end)]
-    return math.fsum(terms)
-
-
 def viterbi_segment(word, stats):
     """Cheapest segmentation of a word into known morphs.
 
-    Returns (morphs, cost in bits). Costs are compared exactly, as the real
-    sums of the morphs' stats.price floats, so equal costs always tie; the
-    returned cost is the left-to-right float sum of the chosen morphs'
-    prices. Ties are broken first toward fewer morphs, then toward the
-    lexicographically smallest boundary tuple.
+    Returns (morphs, cost in bits). Segmentations are ordered by the exact
+    integer sum of their morphs' stats.price, then by fewer morphs, then by
+    the lexicographically smallest boundary tuple. The returned cost is the
+    left-to-right float sum of the chosen morphs' prices in bits.
     Raises UnsegmentableError when no concatenation of known morphs
     yields the word.
     """
@@ -150,12 +137,9 @@ def viterbi_segment(word, stats):
         raise ValueError("cannot segment an empty word")
     price = stats.price
     n = len(word)
-    # a float sum of k <= n terms >= 0 is off by under k * 2**-53 of it: costs
-    # further apart than 4x that share of their sum order as their exact sums do
-    slack = n * 2.0**-51
-    # state per prefix length: (float cost, morph count, boundary tuple)
+    # state per prefix length: the smallest (price sum, morph count, boundary tuple)
     best = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
+    best[0] = (0, 0, ())
     longest = stats.longest  # no longer substring can be a known morph
     for end in range(1, n + 1):
         winner = None
@@ -166,25 +150,21 @@ def viterbi_segment(word, stats):
             p = price.get(word[start:end])
             if p is None:
                 continue
-            cost = prev[0] + p
-            near = False
-            if winner is not None:
-                gap = cost - winner[0]
-                near = abs(gap) <= slack * (cost + winner[0])
-                if gap > 0 and not near:
-                    continue  # dearer by more than rounding can account for
-            bounds = prev[2] + (start,) if start else prev[2]
-            cand = (cost, prev[1] + 1, bounds)
-            if near:  # too close for the float sums to tell
-                gap = _exact_gap(word, end, bounds, winner[2], price)
-                if gap > 0 or gap == 0 and cand[1:] > winner[1:]:
-                    continue
-            winner = cand
+            units = prev[0] + p
+            if winner is not None and units > winner[0]:
+                continue  # dearer: skip building its boundary tuple
+            cand = (units, prev[1] + 1, prev[2] + (start,) if start else prev[2])
+            if winner is None or cand < winner:
+                winner = cand
         best[end] = winner
     if best[n] is None:
         raise UnsegmentableError("no known morphs cover %r" % (word,))
-    cost, _, bounds = best[n]
-    return _cut(word, bounds, n), cost
+    edges = (0,) + best[n][2] + (n,)
+    morphs = [word[i:j] for i, j in zip(edges, edges[1:])]
+    cost = 0.0
+    for m in morphs:
+        cost += price[m] * 2.0**-104  # the float price, exactly
+    return morphs, cost
 
 
 def reject(morphs, prev_type_usage):

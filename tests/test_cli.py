@@ -795,23 +795,34 @@ def test_compare_writes_the_cost_curve_into_the_out_dir_it_makes(workdir, capsys
 
 def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys, monkeypatch):
     def no_reading(*args, **kwargs):
-        raise AssertionError("read the corpus despite a missing output directory")
+        raise AssertionError("read input despite a missing output directory")
 
     monkeypatch.setattr(cli, "read_corpus", no_reading)
+    monkeypatch.setattr(cli, "_read_words", no_reading)
+    monkeypatch.setattr(cli.io, "load_model", no_reading)
+    monkeypatch.setattr(cli.io, "load_segmentation", no_reading)
     missing = workdir / "missing"
     curve = str(missing / "curve.csv")
     below_out_dir = str(workdir / "run" / "sub" / "curve.csv")  # compare makes only run/
     train = ["train", "--method", "rec-mdl", "--corpus", str(workdir / "corpus.txt")]
+    segment = ["segment", "--model", str(workdir / "m"), "--words", str(workdir / "words.txt")]
+    seg = str(workdir / "seg.tsv")
+    evaluate = ["eval", "--train-seg", seg, "--test-seg", seg, "--gold", str(workdir / "gold.tsv")]
+    metrics = workdir / "metrics.json"
     for path, argv in [
         (str(missing / "m"), train + ["--model", str(missing / "m")]),
         (curve, train + ["--model", str(workdir / "m"), "--cost-curve", curve]),
         (curve, _compare_argv(workdir, "--cost-curve", curve)),
         (below_out_dir, _compare_argv(workdir, "--cost-curve", below_out_dir)),
+        (str(missing / "s.tsv"), segment + ["--out", str(missing / "s.tsv")]),
+        (str(missing / "m.json"), evaluate + ["--out", str(missing / "m.json")]),
+        (str(missing / "a.txt"), evaluate + ["--out", str(metrics), "--dump-alignments", str(missing / "a.txt")]),
     ]:
         assert main(argv) == 3
         assert "output directory does not exist: %r" % path in capsys.readouterr().err
         assert not (workdir / "m").exists()
         assert not (workdir / "run").exists()
+        assert not metrics.exists()
     assert not missing.exists()
 
 

@@ -1,13 +1,15 @@
+import hashlib
 import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import logged_args
-from morphseg import io, ml
+from morphseg import io, ml, synth
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, UnsegmentableError
 from morphseg.ml import (
@@ -105,6 +107,10 @@ def test_viterbi_tie_prefers_fewer_morphs():
     morphs, cost = viterbi_segment("aa", stats)
     assert morphs == ["aa"]
     assert cost == 2.0
+    # [ab, cd] and [a, bc, d] both cost 8 bits; the fewer morphs win even
+    # though their boundary tuple (2,) sorts after (1, 3)
+    stats = MorphStats({"a": 64, "ab": 64, "bc": 32, "cd": 4, "d": 32, "x": 60}, 256, {})
+    assert viterbi_segment("abcd", stats) == (["ab", "cd"], 8.0)
 
 
 def test_viterbi_tie_prefers_smallest_boundaries():
@@ -236,13 +242,46 @@ def test_morph_stats_from_segmentation():
     assert stats.corpus_bits() == pytest.approx(expected, rel=1e-12)
 
 
+def _assert_prices_exact(stats):
+    # each price is the float log2(total / count) in units of 2**-104 bits, exactly
+    assert stats.price.keys() == stats.counts.keys()
+    for m, c in stats.counts.items():
+        assert Fraction(stats.price[m], 2**104) == Fraction(math.log2(stats.total / c))
+
+
 def test_morph_stats_price_is_log2_of_total_over_count(tiny_corpus, tmp_path):
     _, trained = train_em(tiny_corpus, iterations=3, rng=random.Random(0))
     io.save_ml_model(trained, tmp_path / "m")
     for stats in (trained, io.load_ml_model(tmp_path / "m")):
-        assert stats.price.keys() == stats.counts.keys()
-        for m, c in stats.counts.items():
-            assert stats.price[m] == math.log2(stats.total / c)
+        _assert_prices_exact(stats)
+    # the smallest non-zero price: total / count is 1 + 2**-52, the next float above 1.0
+    tightest = MorphStats({"a": 2**52, "b": 1}, 2**52 + 1, {})
+    _assert_prices_exact(tightest)
+    assert 0 < tightest.price["a"] < tightest.price["b"]
+    whole = MorphStats({"a": 7}, 7, {})
+    _assert_prices_exact(whole)
+    assert whole.price == {"a": 0}
+
+
+@given(st.lists(st.one_of(st.integers(1, 50), st.integers(1, 2**64)), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_morph_stats_prices_are_exact_for_any_counts(counts):
+    stats = MorphStats({"m%d" % i: c for i, c in enumerate(counts)}, sum(counts), {})
+    _assert_prices_exact(stats)
+
+
+def test_training_decisions_are_pinned(tmp_path):
+    # sha256 of the model and segmentation train_em builds on
+    # synth.generate(20000, 0); a flipped Viterbi tie changes them
+    tokens, _, _ = synth.generate(20000, 0)
+    seg, stats = train_em(Corpus.from_tokens(tokens), iterations=10, rng=random.Random(42))
+    io.save_ml_model(stats, tmp_path / "m.model")
+    io.save_segmentation(seg, tmp_path / "seg.tsv")
+    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("m.model", "seg.tsv")]
+    assert digests == [
+        "6ea0390681570984c0e0d89058c01a39fd259e737038f9980ada52138e895728",
+        "3e5db1cd72b231fd2ccfce96ad9ff79452e8707ed652eccd84169bb201d061a8",
+    ]
 
 
 def test_ml_cost():
