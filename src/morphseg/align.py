@@ -147,16 +147,12 @@ def align_word(morphs, labels, table):
 
 
 def _common_substring_len(a, b):
-    prev = [0] * (len(b) + 1)
+    # from each start in a, try only lengths above the best so far: every
+    # prefix of a common substring is common too, so none can be missed
     best = 0
-    for ca in a:
-        cur = [0] * (len(b) + 1)
-        for j, cb in enumerate(b, start=1):
-            if ca == cb:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
+    for i in range(len(a)):
+        while i + best < len(a) and a[i : i + best + 1] in b:
+            best += 1
     return best
 
 
@@ -171,10 +167,8 @@ def _string_match_align(morphs, entry):
     """
     bases = [label.casefold() for label in entry.labels[: entry.base_count]]
     tags = [0.0] * (len(entry.labels) - entry.base_count)
-    costs = []
-    for morph in morphs:
-        a = morph.casefold()
-        costs.append([-_common_substring_len(a, b) / max(len(a), len(b)) for b in bases] + tags)
+    costs = [[-_common_substring_len(a, b) / max(len(a), len(b)) for b in bases] + tags
+             for a in map(str.casefold, morphs)]
     return _align(costs)[0]
 
 

@@ -139,10 +139,15 @@ def _checked_options(args):
 
 
 def _check_output_dirs(paths, made_dir=None):
-    """Raise MorphsegError naming an output path whose directory is missing
-    and is not made_dir, the --out-dir compare makes at its first write."""
+    """Raise MorphsegError naming an output path that is a directory or whose
+    directory is missing, or a made_dir (the --out-dir compare makes at its first
+    write) whose nearest existing ancestor, itself included, is not a directory."""
     made = made_dir and Path(made_dir).resolve()
+    if made and not next(p for p in (made, *made.parents) if p.exists()).is_dir():
+        raise MorphsegError("cannot make output directory below a file: %r" % (made_dir,))
     for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise MorphsegError("output file is a directory: %r" % (path,))
         parent = Path(path).resolve().parent
         if not parent.is_dir() and parent != made:
             raise MorphsegError("output directory does not exist: %r" % (path,))

@@ -128,10 +128,11 @@ def viterbi_segment(word, stats):
 
     Returns (morphs, cost in bits). Segmentations are ordered by the exact
     integer sum of their morphs' stats.price, then by fewer morphs, then by
-    the lexicographically smallest boundary tuple. The returned cost is the
-    left-to-right float sum of the chosen morphs' prices in bits.
-    Raises UnsegmentableError when no concatenation of known morphs
-    yields the word.
+    the lexicographically smallest boundary tuple: a total order, so forward
+    relaxation (at most len(word) * stats.longest price lookups) finds the
+    same minimum in any visiting order. The returned cost is the left-to-right
+    float sum of the chosen morphs' prices in bits. Raises UnsegmentableError
+    when no concatenation of known morphs yields the word.
     """
     if not word:
         raise ValueError("cannot segment an empty word")
@@ -141,22 +142,20 @@ def viterbi_segment(word, stats):
     best = [None] * (n + 1)
     best[0] = (0, 0, ())
     longest = stats.longest  # no longer substring can be a known morph
-    for end in range(1, n + 1):
-        winner = None
-        for start in range(end - longest if end > longest else 0, end):
-            prev = best[start]
-            if prev is None:
-                continue
+    for start in range(n):
+        if best[start] is None:
+            continue
+        units, count, bounds = best[start]
+        count += 1
+        if start:
+            bounds += (start,)  # built once, shared by every end
+        last = start + longest if start + longest < n else n  # not min(): a call per start
+        for end in range(start + 1, last + 1):
             p = price.get(word[start:end])
-            if p is None:
-                continue
-            units = prev[0] + p
-            if winner is not None and units > winner[0]:
-                continue  # dearer: skip building its boundary tuple
-            cand = (units, prev[1] + 1, prev[2] + (start,) if start else prev[2])
-            if winner is None or cand < winner:
-                winner = cand
-        best[end] = winner
+            if p is not None:
+                cand = (units + p, count, bounds)
+                if best[end] is None or cand < best[end]:
+                    best[end] = cand
     if best[n] is None:
         raise UnsegmentableError("no known morphs cover %r" % (word,))
     edges = (0,) + best[n][2] + (n,)

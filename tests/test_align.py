@@ -10,6 +10,7 @@ from morphseg.align import (
     DEFAULT_EM_TOL,
     DistanceTable,
     GoldEntry,
+    _common_substring_len,
     _string_match_align,
     align_word,
     em_align,
@@ -169,6 +170,39 @@ def test_string_match_groups_split_base_parts():
     gold = parse_gold(["puutalo\tPUU#TALO N"], tag_filter=set())
     pairs = _string_match_align(["puu", "t", "alo"], gold["puutalo"])
     assert pairs == [(0, 0), (1, 1), (2, 1)]
+
+
+def _substrings(s):
+    return {s[i:j] for i in range(len(s) + 1) for j in range(i, len(s) + 1)}
+
+
+@st.composite
+def string_pairs(draw):
+    # one to three letters, so long shared runs and near misses are common
+    alphabet = draw(st.sampled_from(["a", "ab", "abc"]))
+    return draw(st.text(alphabet, max_size=40)), draw(st.text(alphabet, max_size=40))
+
+
+@given(string_pairs())
+@settings(max_examples=300, deadline=None)
+def test_common_substring_len_is_the_longest_shared_substring(pair):
+    a, b = pair
+    longest = max(map(len, _substrings(a) & _substrings(b)))  # "" is shared by any two strings
+    assert _common_substring_len(a, b) == longest
+    assert _common_substring_len(b, a) == longest
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ("", "", 0), ("", "abc", 0), ("abc", "xyz", 0),  # nothing shared
+        ("bc", "abcd", 2), ("abcd", "abcd", 4), ("xya", "a", 1),  # min(len): one holds the other
+        ("abd", "abcd", 2), ("xbcd", "abcd", 3), ("abab", "bba", 2),  # min(len) - 1
+    ],
+)
+def test_common_substring_len_at_the_ends_of_its_range(a, b, expected):
+    assert _common_substring_len(a, b) == expected
+    assert _common_substring_len(b, a) == expected
 
 
 def _negated_similarity(morph, label):

@@ -809,21 +809,40 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     seg = str(workdir / "seg.tsv")
     evaluate = ["eval", "--train-seg", seg, "--test-seg", seg, "--gold", str(workdir / "gold.tsv")]
     metrics = workdir / "metrics.json"
-    for path, argv in [
-        (str(missing / "m"), train + ["--model", str(missing / "m")]),
-        (curve, train + ["--model", str(workdir / "m"), "--cost-curve", curve]),
-        (curve, _compare_argv(workdir, "--cost-curve", curve)),
-        (below_out_dir, _compare_argv(workdir, "--cost-curve", below_out_dir)),
-        (str(missing / "s.tsv"), segment + ["--out", str(missing / "s.tsv")]),
-        (str(missing / "m.json"), evaluate + ["--out", str(missing / "m.json")]),
-        (str(missing / "a.txt"), evaluate + ["--out", str(metrics), "--dump-alignments", str(missing / "a.txt")]),
+    taken = workdir / "taken"  # an existing directory where an output file should go
+    taken.mkdir()
+    plain = workdir / "plain"  # an existing file where compare's --out-dir should go
+    plain.write_text("kept\n", encoding="utf-8")
+    missing_dir = "output directory does not exist: %r"
+    is_dir = "output file is a directory: %r"
+    below_file = "cannot make output directory below a file: %r"
+    for message, argv in [
+        (missing_dir % str(missing / "m"), train + ["--model", str(missing / "m")]),
+        (missing_dir % curve, train + ["--model", str(workdir / "m"), "--cost-curve", curve]),
+        (missing_dir % curve, _compare_argv(workdir, "--cost-curve", curve)),
+        (missing_dir % below_out_dir, _compare_argv(workdir, "--cost-curve", below_out_dir)),
+        (missing_dir % str(missing / "s.tsv"), segment + ["--out", str(missing / "s.tsv")]),
+        (missing_dir % str(missing / "m.json"), evaluate + ["--out", str(missing / "m.json")]),
+        (
+            missing_dir % str(missing / "a.txt"),
+            evaluate + ["--out", str(metrics), "--dump-alignments", str(missing / "a.txt")],
+        ),
+        (is_dir % str(taken), train + ["--model", str(taken)]),
+        (is_dir % str(taken), train + ["--model", str(workdir / "m"), "--cost-curve", str(taken)]),
+        (is_dir % str(taken), segment + ["--out", str(taken)]),
+        (is_dir % str(taken), evaluate + ["--out", str(taken)]),
+        (is_dir % str(taken), evaluate + ["--out", str(metrics), "--dump-alignments", str(taken)]),
+        (below_file % str(plain), _compare_argv(workdir, "--out-dir", str(plain))),
+        (below_file % str(plain / "sub"), _compare_argv(workdir, "--out-dir", str(plain / "sub"))),
     ]:
         assert main(argv) == 3
-        assert "output directory does not exist: %r" % path in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (workdir / "m").exists()
         assert not (workdir / "run").exists()
         assert not metrics.exists()
     assert not missing.exists()
+    assert not any(taken.iterdir())
+    assert plain.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):

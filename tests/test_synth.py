@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,19 @@ def test_generator_is_deterministic():
     assert a == b
     c = synth.generate(500, seed=8)
     assert a[0] != c[0]
+
+
+def _lines_digest(lines):
+    return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+
+
+def test_generator_bytes_are_pinned():
+    # every benchmark input and the acceptance suite come from synth, so a
+    # change to its output must be deliberate and show up here
+    tokens, gold, tags = synth.generate(20000, 0)
+    assert _lines_digest(tokens) == "4fe4db1de572e239f140903665c7752fbc29ab8c27d7ef6681e6e52b611bafd1"
+    assert _lines_digest(gold) == "1fd9a8f6086abf6f188a847b890ff6998a44f9a7191364277e2852a21b39d126"
+    assert tags == ["PL", "GEN", "SG3", "PAST", "PCP1", "AGENT", "CMP", "SUP", "<DER:ly>"]
 
 
 def test_tokens_fit_english_alphabet():
