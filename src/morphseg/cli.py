@@ -139,18 +139,23 @@ def _checked_options(args):
 
 
 def _check_output_dirs(paths, made_dir=None):
-    """Raise MorphsegError naming an output path that is a directory or whose
-    directory is missing, or a made_dir (the --out-dir compare makes at its first
-    write) whose nearest existing ancestor, itself included, is not a directory."""
+    """Raise MorphsegError naming an output path that is a directory, whose
+    directory is missing, or that resolves to the file of an earlier path, or
+    a made_dir (the --out-dir compare makes at its first write) whose nearest
+    existing ancestor, itself included, is not a directory."""
     made = made_dir and Path(made_dir).resolve()
     if made and not next(p for p in (made, *made.parents) if p.exists()).is_dir():
         raise MorphsegError("cannot make output directory below a file: %r" % (made_dir,))
-    for path in filter(None, paths):
+    seen = set()
+    for path in map(str, filter(None, paths)):
         if Path(path).is_dir():
             raise MorphsegError("output file is a directory: %r" % (path,))
-        parent = Path(path).resolve().parent
-        if not parent.is_dir() and parent != made:
+        resolved = Path(path).resolve()
+        if not resolved.parent.is_dir() and resolved.parent != made:
             raise MorphsegError("output directory does not exist: %r" % (path,))
+        if resolved in seen:
+            raise MorphsegError("one file named for two outputs: %r" % (path,))
+        seen.add(resolved)
 
 
 def _train(method, args, config, corpus):
@@ -331,9 +336,19 @@ def _segment_types(model, corpus):
 _segment_types_ml = _segment_types
 
 
-def _compare_method(method, args, config, train, test, gold, out_dir):
-    """Report row of one method; its model, segmentations and evaluation
-    die with this call, before the next method runs.
+_COMPARE_METHODS = ("rec-mdl", "seq-ml")
+
+
+def _compare_outputs(out_dir):
+    """({method: [model, train seg, test seg]}, report): the paths compare writes in out_dir."""
+    suffixes = (".model", ".train_seg.tsv", ".test_seg.tsv")
+    files = {m: [out_dir / (m.replace("-", "_") + s) for s in suffixes] for m in _COMPARE_METHODS}
+    return files, out_dir / "report.json"
+
+
+def _compare_method(method, args, config, train, test, gold, files):
+    """Report row of one method, its _compare_outputs files written if given;
+    its model, segmentations and evaluation die with this call, before the next method runs.
 
     Distances are fitted before the model is saved, so a --max-distance
     below a fitted distance fails before the method writes anything; the
@@ -344,10 +359,10 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
     table = evaluation = None
     if gold:
         table = align.em_align(train_seg, gold, train.type_counts, max_distance=args.max_distance)
-    prefix = method.replace("-", "_")
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)  # made at the first write
-        io.save_model(model, out_dir / (prefix + ".model"))
+    model_path, train_path, test_path = files or (None, None, None)
+    if model_path:
+        model_path.parent.mkdir(parents=True, exist_ok=True)  # made at the first write
+        io.save_model(model, model_path)
     if curve is not None:
         io.write_cost_curve(curve, args.cost_curve)
     if method == "rec-mdl":
@@ -357,26 +372,26 @@ def _compare_method(method, args, config, train, test, gold, out_dir):
     if gold:
         evaluation = align.score_segmentation(test_seg, gold, test.type_counts, table)
     row = report.build_report(model, evaluation, args.char_bits)
-    if out_dir:
-        io.save_segmentation(train_seg, out_dir / (prefix + ".train_seg.tsv"))
-        io.save_segmentation(test_seg, out_dir / (prefix + ".test_seg.tsv"))
+    if model_path:
+        io.save_segmentation(train_seg, train_path)
+        io.save_segmentation(test_seg, test_path)
     return row
 
 
 def cmd_compare(args):
     pre, config = _checked_options(args)
     align.check_max_distance(args.max_distance)
-    _check_output_dirs([args.cost_curve], args.out_dir)
+    files, report_path = _compare_outputs(Path(args.out_dir)) if args.out_dir else ({}, None)
+    _check_output_dirs([*sum(files.values(), []), report_path, args.cost_curve], args.out_dir)
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = _load_gold(args) if args.gold else None
-    out_dir = Path(args.out_dir) if args.out_dir else None
     reports = [
-        _compare_method(method, args, config, train, test, gold, out_dir)
-        for method in ("rec-mdl", "seq-ml")
+        _compare_method(method, args, config, train, test, gold, files.get(method))
+        for method in _COMPARE_METHODS
     ]
-    if out_dir:
-        report.write_metrics(reports, out_dir / "report.json")
+    if report_path:
+        report.write_metrics(reports, report_path)
     print(report.format_comparison(reports))
     return 0
 

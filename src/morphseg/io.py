@@ -120,7 +120,7 @@ def _count(path, lineno, key, count_s):
 
 def sniff_format(path):
     with open(path, encoding="utf-8") as f:
-        first = f.readline()
+        first = f.readline().rstrip("\n")
     return first.split(" ", 1)[0]
 
 

@@ -156,17 +156,15 @@ class ChunkStore:
         self._flow(text[:i], c)
         self._flow(text[i:], c)
 
-    def _unsplit(self, node, count):
-        """Undo a split: pull the flow back out and leave the chunk a leaf
-        with the given count."""
+    def _unsplit(self, node):
+        """Undo a split: pull the flow back out and leave the chunk a leaf."""
         c = node.count
         s = node.split
         node.split = 0
         text = node.text
         self._flow(text[:s], -c)
         self._flow(text[s:], -c)
-        node.count = count
-        self._leaf_tokens += count
+        self._leaf_tokens += c
 
     # -- search --------------------------------------------------------
 
@@ -223,7 +221,7 @@ class ChunkStore:
             node = chunks[t]
             c = node.count
             if node.split:
-                self._unsplit(node, c)
+                self._unsplit(node)
             best_change = 0.0
             best_i = 0
             for i in range(1, len(t)):
@@ -240,20 +238,11 @@ class ChunkStore:
                 stack.append(t[best_i:])
                 stack.append(t[:best_i])
 
-    def _settle_unsplit(self, word):
-        """Detach any split under a word and leave it as a leaf chunk,
-        raising its count by one."""
-        node = self.chunks.get(word)
-        if node is not None and node.split:
-            self._unsplit(node, node.count + 1)
-        else:
-            self._flow(word, 1)
-
     def process_word(self, word):
         """Feed one word token to the model and re-derive its splits."""
         if not word:
             raise ValueError("cannot process an empty word")
-        self._settle_unsplit(word)
+        self._flow(word, 1)
         self.word_counts[word] = self.word_counts.get(word, 0) + 1
         self.recursive_split(word)
 
@@ -267,8 +256,6 @@ class ChunkStore:
         Runs up to max_passes full passes; stops early once a pass improves
         the total cost by less than the relative DREAM_THRESHOLD.
         """
-        if not self.word_counts:
-            return
         rng = rng or random.Random(DEFAULT_SEED)
         for _ in range(max_passes):
             before = self.tracked_cost

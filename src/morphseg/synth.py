@@ -47,7 +47,8 @@ VERB_WEIGHTS = [40, 15, 20, 20, 5]
 ADJ_FORMS = [("", None), ("er", "CMP"), ("est", "SUP"), ("ly", "<DER:ly>")]
 ADJ_WEIGHTS = [52, 16, 8, 24]
 
-POS_TAGS = {"N": NOUN_FORMS, "V": VERB_FORMS, "A": ADJ_FORMS}
+POS_FORMS = {"N": (NOUN_FORMS, NOUN_WEIGHTS), "V": (VERB_FORMS, VERB_WEIGHTS),
+             "A": (ADJ_FORMS, ADJ_WEIGHTS)}
 COMPOUND_RATE = 0.04  # share of noun tokens given a second noun base
 VOWELS = set("aeiou")
 
@@ -85,13 +86,9 @@ class SyntheticEnglish:
                 self._pos_pool[: len(NOUNS)], weights=self._pool_weights[: len(NOUNS)]
             )[0]
             bases.append(second)
-        forms = POS_TAGS[pos]
-        weights = {"N": NOUN_WEIGHTS, "V": VERB_WEIGHTS, "A": ADJ_WEIGHTS}[pos]
+        forms, weights = POS_FORMS[pos]
         suffix, tag = rng.choices(forms, weights=weights)[0]
-        word = bases[0]
-        for b in bases[1:]:
-            word = word + b
-        word = _join(word, suffix)
+        word = _join("".join(bases), suffix)
         tags = tag.split("+") if tag else []
         self.gold[word] = (bases, pos, tags)
         return word

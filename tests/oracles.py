@@ -175,12 +175,12 @@ class ExhaustiveSplitStore(ChunkStore):
                 continue
             node = self.chunks[t]
             if node.split:
-                self._unsplit(node, node.count)
+                self._unsplit(node)
             best = (sum(map(exact_units, _cost_terms(self))), 0)
             for i in range(1, len(t)):
                 self._split_leaf(node, i)
                 best = min(best, (sum(map(exact_units, _cost_terms(self))), i))
-                self._unsplit(node, node.count)
+                self._unsplit(node)
             i = best[1]
             if i:
                 self._split_leaf(node, i)
@@ -191,11 +191,17 @@ class ExhaustiveSplitStore(ChunkStore):
 class MirroredFlowStore(ChunkStore):
     """ChunkStore with the count flow written as two mirror-image walks.
 
-    Adding and removing flow are separate routines, and settling a word
-    handles a new, a leaf and a split chunk in three branches. ChunkStore's
-    one signed flow must leave chunks, counts and the leaf token total
-    equal to this.
+    Adding and removing flow are separate routines, and _flow picks one by
+    the sign of the amount; splitting, detaching a split and adding a token
+    go through ChunkStore's own code. ChunkStore's one signed walk must
+    leave chunks, counts and the leaf token total equal to this.
     """
+
+    def _flow(self, text, amount):
+        if amount > 0:
+            self._add_flow(text, amount)
+        else:
+            self._remove_flow(text, -amount)
 
     def _add_flow(self, text, amount):
         chunks = self.chunks
@@ -230,41 +236,3 @@ class MirroredFlowStore(ChunkStore):
                 stack.append(t[s:])
             if node.count == 0:
                 del chunks[t]
-
-    def _split_leaf(self, node, i):
-        c = node.count
-        node.split = i
-        self._leaf_tokens -= c
-        text = node.text
-        self._add_flow(text[:i], c)
-        self._add_flow(text[i:], c)
-
-    def _unsplit(self, node, count):
-        # recursive_split only ever keeps the chunk's own count
-        assert count == node.count
-        c = node.count
-        s = node.split
-        node.split = 0
-        text = node.text
-        self._remove_flow(text[:s], c)
-        self._remove_flow(text[s:], c)
-        self._leaf_tokens += c
-
-    def _settle_unsplit(self, word):
-        node = self.chunks.get(word)
-        if node is None:
-            self.chunks[word] = Chunk(word, 1)
-            self._leaf_tokens += 1
-            return
-        c0 = node.count
-        c1 = c0 + 1
-        if node.split:
-            s = node.split
-            node.split = 0
-            self._remove_flow(word[:s], c0)
-            self._remove_flow(word[s:], c0)
-            node.count = c1
-            self._leaf_tokens += c1
-        else:
-            node.count = c1
-            self._leaf_tokens += 1

@@ -234,6 +234,25 @@ def test_segment_known_and_novel_words(workdir, capsys):
         assert "".join(morphs.split(" ")) == word
 
 
+def test_no_lowercase_reaches_train_and_segment(workdir, capsys):
+    corpus = workdir / "cased.txt"
+    corpus.write_text("Cats cats\n", encoding="utf-8")
+    model = workdir / "cased.model"
+    words = workdir / "words.txt"
+    words.write_text("Cats\n", encoding="utf-8")
+    train = ["train", "--method", "rec-mdl", "--corpus", str(corpus), "--model", str(model)]
+    segment = ["segment", "--model", str(model), "--words", str(words)]
+    # capitals are outside the english alphabet: kept, they drop their token
+    for extra, word_counts, typed in [
+        ([], {"cats": 2}, "cats"),
+        (["--no-lowercase"], {"cats": 1}, "Cats"),
+    ]:
+        assert main(train + extra) == 0
+        assert io.load_mdl_model(model).word_counts == word_counts
+        assert main(segment + extra) == 0
+        assert capsys.readouterr().out.split("\n")[1].split("\t")[0] == typed
+
+
 def test_segment_to_file_roundtrips(workdir):
     model = workdir / "rec.model"
     _train(workdir, "rec-mdl", model)
@@ -386,11 +405,20 @@ def test_segment_rejects_non_model_files(workdir, capsys):
     empty.write_text("", encoding="utf-8")
     words = workdir / "words.txt"
     words.write_text("a\n", encoding="utf-8")
+    curve = workdir / "curve.csv"
+    io.write_cost_curve([(2000, 9.5)], curve)
+    bare = workdir / "bare.model"  # a model header without its version
+    bare.write_text("morphseg-mdl\n", encoding="utf-8")
     out = workdir / "out.tsv"
-    for model in (seg_file, empty):
+    for model, message in [
+        (seg_file, "%s: not a model file" % seg_file),
+        (empty, "%s: not a model file" % empty),
+        (curve, "%s: not a model file (header %r)" % (curve, io.CURVE_HEADER)),
+        (bare, "%s: unsupported morphseg-mdl version 'morphseg-mdl'" % bare),
+    ]:
         argv = ["segment", "--model", str(model), "--words", str(words), "--out", str(out)]
         assert main(argv) == 3
-        assert "%s: not a model file" % model in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -813,9 +841,18 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     taken.mkdir()
     plain = workdir / "plain"  # an existing file where compare's --out-dir should go
     plain.write_text("kept\n", encoding="utf-8")
+    # existing --out-dirs holding a directory where compare writes a file
+    report_taken = workdir / "report_taken"
+    (report_taken / "report.json").mkdir(parents=True)
+    model_taken = workdir / "model_taken"
+    (model_taken / "rec_mdl.model").mkdir(parents=True)
     missing_dir = "output directory does not exist: %r"
     is_dir = "output file is a directory: %r"
     below_file = "cannot make output directory below a file: %r"
+    twice = "one file named for two outputs: %r"
+    run_model = str(workdir / "run" / "rec_mdl.model")
+    metrics_again = str(taken / ".." / "metrics.json")  # resolves to metrics
+    metrics_and_dump = evaluate + ["--out", str(metrics), "--dump-alignments"]
     for message, argv in [
         (missing_dir % str(missing / "m"), train + ["--model", str(missing / "m")]),
         (missing_dir % curve, train + ["--model", str(workdir / "m"), "--cost-curve", curve]),
@@ -834,6 +871,21 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         (is_dir % str(taken), evaluate + ["--out", str(metrics), "--dump-alignments", str(taken)]),
         (below_file % str(plain), _compare_argv(workdir, "--out-dir", str(plain))),
         (below_file % str(plain / "sub"), _compare_argv(workdir, "--out-dir", str(plain / "sub"))),
+        (
+            is_dir % str(report_taken / "report.json"),
+            _compare_argv(workdir, "--out-dir", str(report_taken)),
+        ),
+        (
+            is_dir % str(model_taken / "rec_mdl.model"),
+            _compare_argv(workdir, "--out-dir", str(model_taken)),
+        ),
+        (
+            twice % str(workdir / "m"),
+            train + ["--model", str(workdir / "m"), "--cost-curve", str(workdir / "m")],
+        ),
+        (twice % run_model, _compare_argv(workdir, "--cost-curve", run_model)),
+        (twice % str(metrics), metrics_and_dump + [str(metrics)]),
+        (twice % metrics_again, metrics_and_dump + [metrics_again]),
     ]:
         assert main(argv) == 3
         assert message in capsys.readouterr().err
@@ -843,6 +895,9 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     assert not missing.exists()
     assert not any(taken.iterdir())
     assert plain.read_text(encoding="utf-8") == "kept\n"
+    for out_dir in (report_taken, model_taken):
+        (kept,) = out_dir.iterdir()
+        assert kept.is_dir() and not any(kept.iterdir())
 
 
 def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
