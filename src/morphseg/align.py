@@ -255,12 +255,13 @@ def em_align(segmented, gold, token_counts, max_iters=DEFAULT_EM_ITERS, max_dist
     for it in range(max_iters):
         table = _build_table(pair_counts, morph_counts, max_distance)
         pair_counts = collections.Counter()
-        total = 0.0
+        terms = []  # summed by fsum, so the total does not depend on word order
         for word in words:
             morphs, labels, weight = segmented[word], gold[word].labels, token_counts[word]
             pairs, bits = align_word(morphs, labels, table)
             _tally(pair_counts, morphs, labels, pairs, weight)
-            total += weight * bits
+            terms.append(weight * bits)
+        total = math.fsum(terms)
         _logger.info("alignment EM iteration %d: %.1f bits", it + 1, total)
         if prev_total is not None and prev_total - total < DEFAULT_EM_TOL * max(prev_total, 1e-12):
             break
@@ -284,7 +285,7 @@ def score_segmentation(segmented, gold, token_counts, table):
     as unseen. Words without a reference analysis are skipped, with one
     warning.
     """
-    total = 0.0
+    terms = []  # summed by fsum, so the total does not depend on word order
     pair_total = 0
     unseen = 0
     alignments = {}
@@ -292,7 +293,7 @@ def score_segmentation(segmented, gold, token_counts, table):
         morphs, labels, weight = segmented[word], gold[word].labels, token_counts[word]
         pairs, bits = align_word(morphs, labels, table)
         alignments[word] = pairs
-        total += weight * bits
+        terms.append(weight * bits)
         pair_total += weight * len(pairs)
         for i, j in pairs:
             if not table.seen(morphs[i], labels[j]):
@@ -300,7 +301,7 @@ def score_segmentation(segmented, gold, token_counts, table):
     if pair_total == 0:
         raise MorphsegError("nothing to score: every scored word has token count 0")
     return EvalResult(
-        alignment_distance_bits=total,
+        alignment_distance_bits=math.fsum(terms),
         unseen_pair_pct=100.0 * unseen / pair_total,
         aligned_pairs=pair_total,
         unseen_pairs=unseen,

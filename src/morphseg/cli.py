@@ -138,14 +138,17 @@ def _checked_options(args):
     return pre, config
 
 
-def _check_output_dirs(paths, made_dir=None):
+def _check_output_dirs(paths, inputs, made_dir=None):
     """Raise MorphsegError naming an output path that is a directory, whose
-    directory is missing, or that resolves to the file of an earlier path, or
-    a made_dir (the --out-dir compare makes at its first write) whose nearest
-    existing ancestor, itself included, is not a directory."""
+    directory is missing, that resolves to the file of one of the inputs
+    (paths the command reads; None for an option not given) or of an
+    earlier path, or a made_dir (the --out-dir compare makes at its first
+    write) whose nearest existing ancestor, itself included, is not a
+    directory."""
     made = made_dir and Path(made_dir).resolve()
     if made and not next(p for p in (made, *made.parents) if p.exists()).is_dir():
         raise MorphsegError("cannot make output directory below a file: %r" % (made_dir,))
+    read = {Path(path).resolve() for path in filter(None, inputs)}
     seen = set()
     for path in map(str, filter(None, paths)):
         if Path(path).is_dir():
@@ -153,6 +156,8 @@ def _check_output_dirs(paths, made_dir=None):
         resolved = Path(path).resolve()
         if not resolved.parent.is_dir() and resolved.parent != made:
             raise MorphsegError("output directory does not exist: %r" % (path,))
+        if resolved in read:
+            raise MorphsegError("output file is also an input: %r" % (path,))
         if resolved in seen:
             raise MorphsegError("one file named for two outputs: %r" % (path,))
         seen.add(resolved)
@@ -190,7 +195,7 @@ def cmd_train(args):
     pre, config = _checked_options(args)
     if args.cost_curve and args.method == "seq-ml":
         raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
-    _check_output_dirs([args.model, args.cost_curve])
+    _check_output_dirs([args.model, args.cost_curve], [args.corpus])
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
         (corpus,) = split_corpus(corpus, args.train_tokens)
@@ -267,7 +272,7 @@ def _segment_records(model, words):
 
 
 def cmd_segment(args):
-    _check_output_dirs([args.out])
+    _check_output_dirs([args.out], [args.model, args.words])
     model = io.load_model(args.model)
     words = _read_words(args.words, not args.no_lowercase)
     io.write_records(args.out, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
@@ -293,7 +298,8 @@ def cmd_eval(args):
     align.check_max_distance(args.max_distance)
     if args.em_iterations < 1:
         raise ValueError("need at least one alignment EM iteration")
-    _check_output_dirs([args.out, args.dump_alignments])
+    inputs = [args.train_seg, args.test_seg, args.gold, args.tags, args.train_counts, args.test_counts]
+    _check_output_dirs([args.out, args.dump_alignments], inputs)
     train_seg = io.load_segmentation(args.train_seg)
     test_seg = io.load_segmentation(args.test_seg)
     gold = _load_gold(args)
@@ -382,7 +388,8 @@ def cmd_compare(args):
     pre, config = _checked_options(args)
     align.check_max_distance(args.max_distance)
     files, report_path = _compare_outputs(Path(args.out_dir)) if args.out_dir else ({}, None)
-    _check_output_dirs([*sum(files.values(), []), report_path, args.cost_curve], args.out_dir)
+    outputs = [*sum(files.values(), []), report_path, args.cost_curve]
+    _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = _load_gold(args) if args.gold else None

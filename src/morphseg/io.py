@@ -7,25 +7,21 @@ a file with an unknown format or version fails without partial state.
     morphseg-mdl v1 char_bits=<k>     text<TAB>split<TAB>count
     morphseg-ml v1 total=<N>          morph<TAB>count
     morphseg-seg v1                   word<TAB>morph1 morph2 ...
-    morphseg-dist v1 max_distance=<d> morph<TAB>label<TAB>bits
 
 Every file morphseg writes goes through ``output``.
 """
 
 import contextlib
 import itertools
-import math
 import sys
 
 from .errors import ModelFormatError, MorphsegError
 from .mdl import ChunkStore, Chunk
 from .ml import MorphStats
-from .align import DistanceTable, check_max_distance
 
 MDL_FORMAT = "morphseg-mdl"
 ML_FORMAT = "morphseg-ml"
 SEG_FORMAT = "morphseg-seg"
-DIST_FORMAT = "morphseg-dist"
 COUNTS_FORMAT = "morphseg-counts"
 VERSION = "v1"
 CURVE_HEADER = "tokens_processed,avg_word_cost_bits"
@@ -219,41 +215,6 @@ def load_segmentation(path):
         return word, morphs
 
     return _table(path, records, "word", parse)
-
-
-# -- distance tables -----------------------------------------------------
-
-
-def save_distance_table(table, path):
-    records = (
-        "%s\t%s\t%s" % (m, l, repr(d))
-        for (m, l), d in sorted(table.distances.items())
-    )
-    write_records(path, [DIST_FORMAT, VERSION, "max_distance=%s" % repr(table.max_distance)], records)
-
-
-def load_distance_table(path):
-    params, records = _read(path, DIST_FORMAT, 3)
-    try:
-        max_distance = float(params["max_distance"])
-        check_max_distance(max_distance)
-    except (KeyError, ValueError):
-        raise ModelFormatError("%s: missing or bad max_distance" % (path,)) from None
-
-    def parse(path, lineno, morph, label, dist_s):
-        try:
-            dist = float(dist_s)
-        except ValueError:
-            raise ModelFormatError("%s line %d: bad distance" % (path, lineno)) from None
-        if not morph or not label:
-            raise ModelFormatError("%s line %d: empty morph or label" % (path, lineno))
-        if not 0.0 <= dist < math.inf:  # also false for nan
-            raise ModelFormatError(
-                "%s line %d: distance must be finite and non-negative" % (path, lineno)
-            )
-        return (morph, label), dist
-
-    return DistanceTable(_table(path, records, "pair", parse), max_distance)
 
 
 # -- word counts, curves ----------------------------------------------------

@@ -134,11 +134,12 @@ def em_align_keeping_paths(
             for morph in set(morphs):
                 morph_counts[morph] = morph_counts.get(morph, 0) + weight
         table = align._build_table(pair_counts, morph_counts, max_distance)
-        total = 0.0
+        terms = []
         for word in words:
             pairs, bits = align.align_word(segmented[word], gold[word].labels, table)
             alignments[word] = pairs
-            total += token_counts[word] * bits
+            terms.append(token_counts[word] * bits)
+        total = math.fsum(terms)
         distance_log.append(total)
         if prev_total is not None and prev_total - total < tol * max(prev_total, 1e-12):
             break

@@ -465,6 +465,20 @@ def test_em_align_equals_the_keep_every_path_oracle(caplog, instance, max_iters,
     assert log == expected_log
 
 
+def _shuffled(mapping, rng):
+    items = list(mapping.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+@given(em_instances(), em_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_does_not_depend_on_input_order(train, test, rng):
+    (train_seg, train_gold, train_counts), (test_seg, test_gold, test_counts) = train, test
+    inputs = (train_seg, test_seg, {**test_gold, **train_gold}, train_counts, test_counts)
+    assert evaluate(*(_shuffled(m, rng) for m in inputs)) == evaluate(*inputs)
+
+
 # -- scoring under a frozen table ---------------------------------------------
 
 

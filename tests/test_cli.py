@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import random
 import tempfile
 import time
 
@@ -850,7 +851,12 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     is_dir = "output file is a directory: %r"
     below_file = "cannot make output directory below a file: %r"
     twice = "one file named for two outputs: %r"
+    also_input = "output file is also an input: %r"
+    corpus, gold, tags, counts = (str(workdir / n) for n in ("corpus.txt", "gold.tsv", "tags.txt", "c.tsv"))
+    kept_inputs = {name: (workdir / name).read_bytes() for name in ("corpus.txt", "gold.tsv")}
+    seg_again = str(taken / ".." / "seg.tsv")  # resolves to seg
     run_model = str(workdir / "run" / "rec_mdl.model")
+    run_test_seg = str(workdir / "run" / "seq_ml.test_seg.tsv")
     metrics_again = str(taken / ".." / "metrics.json")  # resolves to metrics
     metrics_and_dump = evaluate + ["--out", str(metrics), "--dump-alignments"]
     for message, argv in [
@@ -886,6 +892,20 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         (twice % run_model, _compare_argv(workdir, "--cost-curve", run_model)),
         (twice % str(metrics), metrics_and_dump + [str(metrics)]),
         (twice % metrics_again, metrics_and_dump + [metrics_again]),
+        (also_input % corpus, train + ["--model", corpus]),
+        (also_input % corpus, train + ["--model", str(workdir / "m"), "--cost-curve", corpus]),
+        (also_input % str(workdir / "m"), segment + ["--out", str(workdir / "m")]),
+        (also_input % str(workdir / "words.txt"), segment + ["--out", str(workdir / "words.txt")]),
+        (also_input % seg_again, evaluate + ["--out", seg_again]),
+        (also_input % gold, evaluate + ["--dump-alignments", gold]),
+        (also_input % tags, evaluate + ["--tags", tags, "--out", tags]),
+        (also_input % counts, evaluate + ["--train-counts", counts, "--out", counts]),
+        (also_input % counts, evaluate + ["--test-counts", counts, "--dump-alignments", counts]),
+        (also_input % corpus, _compare_argv(workdir, "--cost-curve", corpus)),
+        (also_input % gold, _compare_argv(workdir, "--gold", gold, "--cost-curve", gold)),
+        (also_input % tags, _compare_argv(workdir, "--tags", tags, "--cost-curve", tags)),
+        # one of compare's seven --out-dir files
+        (also_input % run_test_seg, _compare_argv(workdir, "--gold", run_test_seg)),
     ]:
         assert main(argv) == 3
         assert message in capsys.readouterr().err
@@ -895,9 +915,36 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     assert not missing.exists()
     assert not any(taken.iterdir())
     assert plain.read_text(encoding="utf-8") == "kept\n"
+    assert {name: (workdir / name).read_bytes() for name in kept_inputs} == kept_inputs
     for out_dir in (report_taken, model_taken):
         (kept,) = out_dir.iterdir()
         assert kept.is_dir() and not any(kept.iterdir())
+
+
+@pytest.mark.parametrize("method", ["rec_mdl", "seq_ml"])
+def test_eval_does_not_depend_on_the_line_order_of_its_files(workdir, method):
+    common = ["--gold", str(workdir / "gold.tsv"), "--tags", str(workdir / "tags.txt")]
+    argv = _compare_argv(workdir, *common, "--train-tokens", "900", "--test-tokens", "300",
+                         "--iterations", "3")
+    assert main(argv) == 0
+    rng = random.Random(0)
+    outputs = []
+    for order in ("file", "shuffled"):
+        segs = []
+        for part in ("train", "test"):
+            seg = workdir / "run" / ("%s.%s_seg.tsv" % (method, part))
+            if order == "shuffled":
+                header, *records = seg.read_text(encoding="utf-8").splitlines(keepends=True)
+                rng.shuffle(records)
+                seg = workdir / ("shuffled_%s.tsv" % part)
+                seg.write_text(header + "".join(records), encoding="utf-8")
+            segs.append(str(seg))
+        metrics, dump = workdir / (order + ".json"), workdir / (order + ".tsv")
+        argv = ["eval", "--train-seg", segs[0], "--test-seg", segs[1], *common,
+                "--out", str(metrics), "--dump-alignments", str(dump)]
+        assert main(argv) == 0
+        outputs.append((metrics.read_bytes(), dump.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphseg import io
-from morphseg.align import DistanceTable
 from morphseg.errors import ModelFormatError
 from morphseg.mdl import ChunkStore, MdlConfig, train_online
 from morphseg.ml import MorphStats
@@ -233,84 +232,6 @@ def test_segmentation_roundtrip_property(cut_plan):
         os.unlink(path)
 
 
-# -- distance tables -----------------------------------------------------------
-
-
-def test_distance_table_roundtrip_preserves_full_precision(tmp_path):
-    path = tmp_path / "d.tsv"
-    table = DistanceTable(
-        {("s", "PL"): 0.41503749927884376, ("s", "GEN"): 2.0, ("ja", "PTV"): 1e-17},
-        max_distance=12.000000000000002,
-    )
-    io.save_distance_table(table, path)
-    loaded = io.load_distance_table(path)
-    assert loaded.distances == table.distances
-    assert loaded.max_distance == table.max_distance
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
-def test_distance_table_rejects_unusable_max_distance(tmp_path, bad):
-    path = tmp_path / "d.tsv"
-    _write_lines(path, ["morphseg-dist v1 max_distance=%s" % bad, "a\tA\t1.0"])
-    with pytest.raises(ModelFormatError, match="max_distance"):
-        io.load_distance_table(path)
-
-
-def test_distance_table_rejects_bad_floats(tmp_path):
-    path = tmp_path / "d.tsv"
-    _write_lines(path, ["morphseg-dist v1 max_distance=ten", "a\tA\t1.0"])
-    with pytest.raises(ModelFormatError, match="max_distance"):
-        io.load_distance_table(path)
-    _write_lines(path, ["morphseg-dist v1 max_distance=10.0", "a\tA\tfast"])
-    with pytest.raises(ModelFormatError, match="line 2"):
-        io.load_distance_table(path)
-
-
-@pytest.mark.parametrize(
-    "records, message",
-    [
-        (["s\tPL\t1.0", "s\tPL\t3.0"], "line 3: duplicate pair \\('s', 'PL'\\)"),
-        (["\tPL\t1.0"], "line 2: empty morph or label"),
-        (["s\t\t1.0"], "line 2: empty morph or label"),
-        (["s\tPL\t1.0", "s\tGEN\tnan"], "line 3: distance must be finite and non-negative"),
-        (["s\tPL\t-0.5"], "line 2: distance must be finite and non-negative"),
-        (["s\tPL\tinf"], "line 2: distance must be finite and non-negative"),
-    ],
-)
-def test_distance_table_rejects_invalid_records(tmp_path, records, message):
-    path = tmp_path / "d.tsv"
-    _write_lines(path, ["morphseg-dist v1 max_distance=10.0"] + records)
-    with pytest.raises(ModelFormatError, match=message):
-        io.load_distance_table(path)
-
-
-@given(
-    st.dictionaries(
-        st.tuples(
-            st.text(alphabet="ab", min_size=1, max_size=3),
-            st.sampled_from(["A", "PL", "<DER:ly>"]),
-        ),
-        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
-        max_size=12,
-    ),
-    st.floats(min_value=0.0, max_value=80.0, allow_nan=False),
-)
-@settings(max_examples=50, deadline=None)
-def test_distance_table_roundtrip_property(distances, max_distance):
-    import tempfile, os
-
-    table = DistanceTable(distances, max_distance)
-    fd, path = tempfile.mkstemp()
-    os.close(fd)
-    try:
-        io.save_distance_table(table, path)
-        loaded = io.load_distance_table(path)
-        assert loaded.distances == table.distances
-        assert loaded.max_distance == table.max_distance
-    finally:
-        os.unlink(path)
-
-
 # -- counts, curves, sniffing ---------------------------------------------------
 
 
@@ -422,11 +343,6 @@ _HEADED_FILES = {
         io.save_segmentation,
         io.load_segmentation,
         lambda corpus: {"cats": ["cat", "s"], "dog": ["dog"]},
-    ),
-    "dist": (
-        io.save_distance_table,
-        io.load_distance_table,
-        lambda corpus: DistanceTable({("cat", "CAT"): 0.0, ("s", "PL"): 0.415}, 10.415),
     ),
     "counts": (io.save_word_counts, io.load_word_counts, lambda corpus: corpus.type_counts),
     "curve": (io.write_cost_curve, io.read_cost_curve, lambda corpus: [(2000, 11.6), (2500, 10.5)]),
