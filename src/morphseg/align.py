@@ -37,9 +37,9 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
     """Parse reference analyses from TSV lines.
 
     Line format: word, then tab, then base form (constituents joined by #)
-    followed by space-separated tags. Tags absent from tag_filter are
-    dropped (tag_filter None keeps everything). Words whose label list
-    ends up empty are dropped with a warning.
+    followed by space-separated tags. A word with whitespace in it is a
+    GoldParseError. Tags absent from tag_filter are dropped (tag_filter
+    None keeps everything).
     """
     gold = {}
     shared = {}  # label -> the one string object every entry uses for it
@@ -56,6 +56,8 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
         fields = analysis.split()
         if not word or not fields:
             raise GoldParseError("%s line %d: empty word or analysis" % (source, lineno))
+        if word.split() != [word]:
+            raise GoldParseError("%s line %d: whitespace in word %r" % (source, lineno, word))
         bases = [b for b in fields[0].split("#") if b]
         if not bases:
             raise GoldParseError("%s line %d: empty base form" % (source, lineno))
@@ -76,9 +78,15 @@ def load_gold(path, tag_filter=None):
 
 
 def load_tag_filter(path):
-    """Tags to keep, one per line."""
+    """Tags to keep, one per line; a line of two or more is a GoldParseError naming the line."""
+    tags = set()
     with open(path, encoding="utf-8") as f:
-        return {line.strip() for line in f if line.strip()}
+        for lineno, line in enumerate(f, start=1):
+            fields = line.split()
+            if len(fields) > 1:
+                raise GoldParseError("%s line %d: whitespace in tag %r" % (path, lineno, line.strip()))
+            tags.update(fields)
+    return tags
 
 
 @dataclasses.dataclass
@@ -87,9 +95,6 @@ class DistanceTable:
 
     distances: dict  # (morph, label) -> bits
     max_distance: float
-
-    def seen(self, morph, label):
-        return (morph, label) in self.distances
 
 
 def _align(costs):
@@ -296,7 +301,7 @@ def score_segmentation(segmented, gold, token_counts, table):
         terms.append(weight * bits)
         pair_total += weight * len(pairs)
         for i, j in pairs:
-            if not table.seen(morphs[i], labels[j]):
+            if (morphs[i], labels[j]) not in table.distances:
                 unseen += weight
     if pair_total == 0:
         raise MorphsegError("nothing to score: every scored word has token count 0")
@@ -307,20 +312,6 @@ def score_segmentation(segmented, gold, token_counts, table):
         unseen_pairs=unseen,
         alignments=alignments,
     )
-
-
-def evaluate(
-    train_seg,
-    test_seg,
-    gold,
-    train_counts,
-    test_counts,
-    max_iters=DEFAULT_EM_ITERS,
-    max_distance=None,
-):
-    """Fit distances on the training segmentation, score the test one."""
-    table = em_align(train_seg, gold, train_counts, max_iters=max_iters, max_distance=max_distance)
-    return score_segmentation(test_seg, gold, test_counts, table), table
 
 
 def format_alignment(word, morphs, labels, pairs):

@@ -91,7 +91,6 @@ def build_parser():
     p_eval.add_argument("--train-counts", help="word<TAB>count file for token weighting")
     p_eval.add_argument("--test-counts", help="word<TAB>count file for token weighting")
     p_eval.add_argument("--max-distance", type=float, help="charge for unseen pairs")
-    p_eval.add_argument("--em-iterations", type=int, default=align.DEFAULT_EM_ITERS)
     p_eval.add_argument("--dump-alignments", help="write per-word test alignments")
     p_eval.add_argument("--out", help="metrics output file (default stdout)")
 
@@ -296,8 +295,6 @@ def _load_gold(args):
 
 def cmd_eval(args):
     align.check_max_distance(args.max_distance)
-    if args.em_iterations < 1:
-        raise ValueError("need at least one alignment EM iteration")
     inputs = [args.train_seg, args.test_seg, args.gold, args.tags, args.train_counts, args.test_counts]
     _check_output_dirs([args.out, args.dump_alignments], inputs)
     train_seg = io.load_segmentation(args.train_seg)
@@ -305,15 +302,8 @@ def cmd_eval(args):
     gold = _load_gold(args)
     train_counts = _counts_for(train_seg, args.train_counts)
     test_counts = _counts_for(test_seg, args.test_counts)
-    result, table = align.evaluate(
-        train_seg,
-        test_seg,
-        gold,
-        train_counts,
-        test_counts,
-        max_iters=args.em_iterations,
-        max_distance=args.max_distance,
-    )
+    table = align.em_align(train_seg, gold, train_counts, max_distance=args.max_distance)
+    result = align.score_segmentation(test_seg, gold, test_counts, table)
     record = {
         "alignment_distance_bits": result.alignment_distance_bits,
         "unseen_pair_pct": result.unseen_pair_pct,

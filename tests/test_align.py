@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,8 +15,8 @@ from morphseg.align import (
     _string_match_align,
     align_word,
     em_align,
-    evaluate,
     format_alignment,
+    load_tag_filter,
     parse_gold,
     score_segmentation,
 )
@@ -56,6 +57,19 @@ def test_parse_gold_errors_carry_line_numbers():
         parse_gold(["cats\t"])
     with pytest.raises(GoldParseError, match="line 1"):
         parse_gold(["cats\t# N"])
+    for word in ("cat s", " dogs", "dogs ", "do\u00a0gs"):
+        message = "<gold> line 2: whitespace in word %r" % word
+        with pytest.raises(GoldParseError, match=re.escape(message)):
+            parse_gold(["cats\tCAT N PL", word + "\tDOG PL"])
+
+
+def test_load_tag_filter_keeps_one_tag_per_line(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_text(" PL \n\nGEN\t\n", encoding="utf-8")
+    assert load_tag_filter(path) == {"PL", "GEN"}
+    path.write_text("PL\n\nPL GEN\n", encoding="utf-8")
+    with pytest.raises(GoldParseError, match="line 3: whitespace in tag 'PL GEN'"):
+        load_tag_filter(path)
 
 
 def test_parse_gold_duplicate_keeps_first(caplog):
@@ -276,7 +290,7 @@ def test_em_align_estimates_conditional_distances():
     assert table.distances[("cat", "CAT")] == 0.0
     # default charge for unseen pairs: largest observed distance plus 10
     assert table.max_distance == 12.0
-    assert not table.seen("cat", "PL")
+    assert ("cat", "PL") not in table.distances
 
 
 def test_em_align_zero_distance_means_exclusive_pairing():
@@ -476,6 +490,12 @@ def _shuffled(mapping, rng):
 def test_evaluate_does_not_depend_on_input_order(train, test, rng):
     (train_seg, train_gold, train_counts), (test_seg, test_gold, test_counts) = train, test
     inputs = (train_seg, test_seg, {**test_gold, **train_gold}, train_counts, test_counts)
+
+    def evaluate(train_seg, test_seg, gold, train_counts, test_counts):
+        # the two calls of eval and compare: fit on one segmentation, score the other
+        table = em_align(train_seg, gold, train_counts)
+        return score_segmentation(test_seg, gold, test_counts, table), table
+
     assert evaluate(*(_shuffled(m, rng) for m in inputs)) == evaluate(*inputs)
 
 
@@ -548,7 +568,8 @@ def test_evaluate_end_to_end():
     segmented, gold, counts = plural_fixture()
     test_seg = {"cats": ["cat", "s"], "kings": ["king", "s"]}
     test_counts = {"cats": 2, "kings": 1}
-    result, table = evaluate(segmented, test_seg, gold, counts, test_counts)
+    table = em_align(segmented, gold, counts)
+    result = score_segmentation(test_seg, gold, test_counts, table)
     assert result.alignment_distance_bits >= 0.0
     assert 0.0 <= result.unseen_pair_pct <= 100.0
     assert set(result.alignments) == set(test_seg)

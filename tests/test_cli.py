@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import logged_args
 from morphseg import cli, io, ml, report, synth
 from morphseg.cli import build_parser, main
+from morphseg.corpus import read_corpus, split_corpus
 from morphseg.errors import UnsegmentableError
 
 
@@ -602,11 +603,35 @@ def _eval_argv(seg_path, gold_path, *extra):
             "--gold", str(gold_path)] + list(extra)
 
 
-def test_eval_rejects_zero_em_iterations(tmp_path, capsys):
-    # before any input is read: the files do not exist
+def test_eval_has_no_em_iterations_option(tmp_path, capsys):
+    # eval fits distances with compare's alignment EM settings, which have no option
     missing = tmp_path / "missing.tsv"
-    assert main(_eval_argv(missing, missing, "--em-iterations", "0")) == 2
-    assert "need at least one alignment EM iteration" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(_eval_argv(missing, missing, "--em-iterations", "3"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --em-iterations 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--gold", "cats\tCAT PL\ncat s\tCAT PL\n", "line 2: whitespace in word 'cat s'"),
+        ("--gold", " dogs\tDOG PL\n", "line 1: whitespace in word ' dogs'"),
+        ("--tags", "GEN\n\nPL GEN\n", "line 3: whitespace in tag 'PL GEN'"),
+    ],
+)
+def test_eval_rejects_whitespace_in_a_reference_word_or_tag(tmp_path, capsys, option, text, message):
+    seg_path, gold_path = eval_fixture(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "metrics.json"
+    if option == "--gold":
+        argv = _eval_argv(seg_path, bad)
+    else:
+        argv = _eval_argv(seg_path, gold_path, "--tags", str(bad))
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "%s %s" % (bad, message) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_test_counts_missing_a_scored_word_is_a_data_error(tmp_path, capsys):
@@ -945,6 +970,29 @@ def test_eval_does_not_depend_on_the_line_order_of_its_files(workdir, method):
         assert main(argv) == 0
         outputs.append((metrics.read_bytes(), dump.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_eval_with_count_files_reproduces_the_compare_report(workdir):
+    common = ["--gold", str(workdir / "gold.tsv"), "--tags", str(workdir / "tags.txt")]
+    argv = _compare_argv(workdir, *common, "--train-tokens", "900", "--test-tokens", "300",
+                         "--iterations", "3")
+    assert main(argv) == 0
+    train, test = split_corpus(read_corpus(workdir / "corpus.txt"), 900, 300)
+    io.save_word_counts(train.type_counts, workdir / "train.counts")
+    io.save_word_counts(test.type_counts, workdir / "test.counts")
+    counts = ["--train-counts", str(workdir / "train.counts"), "--test-counts", str(workdir / "test.counts")]
+    run = workdir / "run"
+    rows = report.read_metrics(run / "report.json")
+    assert [row.method for row in rows] == ["rec-mdl", "seq-ml"]
+    for row in rows:
+        stem = run / row.method.replace("-", "_")
+        metrics = workdir / (row.method + ".json")
+        argv = ["eval", "--train-seg", "%s.train_seg.tsv" % stem,
+                "--test-seg", "%s.test_seg.tsv" % stem, *common, *counts, "--out", str(metrics)]
+        assert main(argv) == 0
+        record = json.loads(metrics.read_text(encoding="utf-8"))
+        assert record["alignment_distance_bits"] == row.alignment_distance_bits
+        assert record["unseen_pair_pct"] == row.unseen_pair_pct
 
 
 def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
