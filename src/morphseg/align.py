@@ -14,6 +14,7 @@ import dataclasses
 import logging
 import math
 
+from . import io
 from .errors import GoldParseError, MorphsegError
 
 _logger = logging.getLogger(__name__)
@@ -73,14 +74,14 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
 
 
 def load_gold(path, tag_filter=None):
-    with open(path, encoding="utf-8") as f:
+    with io.reading(path) as f:
         return parse_gold(f, tag_filter, source=str(path))
 
 
 def load_tag_filter(path):
     """Tags to keep, one per line; a line of two or more is a GoldParseError naming the line."""
     tags = set()
-    with open(path, encoding="utf-8") as f:
+    with io.reading(path) as f:
         for lineno, line in enumerate(f, start=1):
             fields = line.split()
             if len(fields) > 1:
@@ -211,21 +212,25 @@ def _build_table(pair_counts, morph_counts, max_distance):
     return DistanceTable(distances, d_max)
 
 
-def _scored_words(segmented, gold, token_counts):
-    """The words of segmented, in order, that have a reference analysis.
+def covered_words(words, gold, what="segmented word"):
+    """The words, in order, that have a reference analysis; a MorphsegError
+    saying "no <what> has a reference analysis" when none has."""
+    covered = [word for word in words if word in gold]
+    if not covered:
+        raise MorphsegError("no %s has a reference analysis" % what)
+    return covered
 
-    Raises MorphsegError for such a word without a token count, or when no
-    word is left. Logs one warning with the number of words skipped.
-    """
-    words = [word for word in segmented if word in gold]
+
+def _scored_words(segmented, gold, token_counts):
+    """covered_words of segmented; a MorphsegError for one without a token
+    count. Logs one warning with the number of words skipped."""
+    words = covered_words(segmented, gold)
     for word in words:
         if word not in token_counts:
             raise MorphsegError("no token count for %r" % (word,))
     skipped = len(segmented) - len(words)
     if skipped:
         _logger.warning("%d words lacked reference analyses and were skipped", skipped)
-    if not words:
-        raise MorphsegError("no segmented word has a reference analysis")
     return words
 
 

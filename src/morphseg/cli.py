@@ -233,7 +233,7 @@ def _read_words(path, lowercase):
     kept = {}
     words = []
     blank = 0  # lines skipped so far; with len(words) it numbers the line
-    with open(path, encoding="utf-8") as f:
+    with io.reading(path) as f:
         for line in f:
             word = line.strip()
             if not word:
@@ -383,6 +383,9 @@ def cmd_compare(args):
     train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
 
     gold = _load_gold(args) if args.gold else None
+    if gold is not None:  # each side needs a word to fit or score before anything trains
+        align.covered_words(train.type_counts, gold, "training word")
+        align.covered_words(test.type_counts, gold, "test word")
     reports = [
         _compare_method(method, args, config, train, test, gold, files.get(method))
         for method in _COMPARE_METHODS
@@ -407,9 +410,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UnicodeDecodeError as exc:  # a ValueError, but unreadable input
-        print("morphseg: error: input is not valid UTF-8: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         print("morphseg: error: %s" % exc, file=sys.stderr)

@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import logging
 
+from . import io
 from .errors import EmptyCorpusError, CorpusSizeError
 
 _logger = logging.getLogger(__name__)
@@ -89,8 +90,8 @@ def load_corpus(lines, config=None):
 
 
 def read_corpus(path, config=None):
-    """load_corpus over a UTF-8 text file; other bytes raise UnicodeDecodeError."""
-    with open(path, encoding="utf-8") as f:
+    """load_corpus over the text file at path."""
+    with io.reading(path) as f:
         return load_corpus(f, config)
 
 

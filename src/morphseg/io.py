@@ -8,7 +8,8 @@ a file with an unknown format or version fails without partial state.
     morphseg-ml v1 total=<N>          morph<TAB>count
     morphseg-seg v1                   word<TAB>morph1 morph2 ...
 
-Every file morphseg writes goes through ``output``.
+Every file morphseg writes goes through ``output``, and every file it
+reads through ``reading``.
 """
 
 import contextlib
@@ -38,6 +39,25 @@ def output(path):
         yield f
 
 
+@contextlib.contextmanager
+def reading(path):
+    """The file at path, opened for UTF-8 text with universal newlines. A
+    UnicodeDecodeError out of the body becomes a MorphsegError naming the line
+    of the file's first byte that is not UTF-8, or passes if the file has none."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:  # bytes.splitlines splits as universal newlines do
+                line = len((data[: exc.start] + b".").splitlines())
+                raise MorphsegError("%s line %d: not valid UTF-8" % (path, line)) from None
+            raise
+
+
 def write_lines(path, lines):
     """Each line, LF-terminated, as lines yields it, to output(path)."""
     with output(path) as f:
@@ -52,7 +72,7 @@ def write_records(path, header_parts, records):
 
 def _lines(path):
     """The lines of a text file, without the final line end."""
-    with open(path, encoding="utf-8") as f:
+    with reading(path) as f:
         lines = f.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -115,7 +135,7 @@ def _count(path, lineno, key, count_s):
 
 
 def sniff_format(path):
-    with open(path, encoding="utf-8") as f:
+    with reading(path) as f:
         first = f.readline().rstrip("\n")
     return first.split(" ", 1)[0]
 

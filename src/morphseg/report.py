@@ -75,7 +75,7 @@ def write_metrics(reports, path):
 
 
 def read_metrics(path):
-    with open(path, encoding="utf-8") as f:
+    with io.reading(path) as f:
         return [MetricsReport(**json.loads(line)) for line in f if line.strip()]
 
 

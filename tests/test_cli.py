@@ -569,6 +569,78 @@ def test_non_utf8_input_is_a_data_error(workdir, bad_option):
     assert not out_path.exists()
 
 
+# command, option: (header line or None, record of file line n + 1 before line 5001)
+_LARGE_INPUTS = {
+    ("compare", "--corpus"): (None, "cats dogs {0}"),
+    ("compare", "--gold"): (None, "w{0}\tW{0} PL"),
+    ("compare", "--tags"): (None, "T{0}"),
+    ("segment", "--words"): (None, "w{0}"),
+    ("segment", "--model"): ("morphseg-ml v1 total=4999", "m{0}\t1"),
+    ("eval", "--train-seg"): ("morphseg-seg v1", "w{0}\tw{0}"),
+    ("eval", "--test-counts"): ("morphseg-counts v1", "w{0}\t1"),
+}
+
+
+@pytest.mark.parametrize("command, option", sorted(_LARGE_INPUTS))
+def test_a_bad_byte_past_the_first_8_kib_is_reported_with_its_path_and_line(
+    workdir, capsys, command, option
+):
+    header, record = _LARGE_INPUTS[command, option]
+    lines = [header] if header else []
+    lines += [record.format(n) for n in range(len(lines), 5000)]
+    bad = workdir / "bad.txt"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"caf\xff\nmore\n")
+    assert bad.stat().st_size > 8192
+    model = workdir / "seq.model"
+    io.save_ml_model(ml.MorphStats({"time": 1, "s": 1}, 2, {}), model)
+    (workdir / "words.txt").write_text("times\n", encoding="utf-8")
+    seg_path, gold_path = eval_fixture(workdir)
+    counts = workdir / "counts.tsv"
+    io.save_word_counts({"cats": 1, "dogs": 1, "birds": 1, "kings": 1}, counts)
+    inputs = {
+        "compare": ["--corpus", workdir / "corpus.txt", "--gold", workdir / "gold.tsv",
+                    "--tags", workdir / "tags.txt"],
+        "segment": ["--model", model, "--words", workdir / "words.txt"],
+        "eval": ["--train-seg", seg_path, "--test-seg", seg_path, "--gold", gold_path,
+                 "--test-counts", counts],
+    }[command]
+    inputs[inputs.index(option) + 1] = bad
+    outputs = {
+        "compare": ["--train-tokens", "400", "--test-tokens", "100", "--out-dir", workdir / "run"],
+        "segment": ["--out", workdir / "out.tsv"],
+        "eval": ["--out", workdir / "out.json", "--dump-alignments", workdir / "dump.tsv"],
+    }[command]
+    assert main([command, *map(str, inputs + outputs)]) == 3
+    assert "%s line 5001: not valid UTF-8" % bad in capsys.readouterr().err
+    assert not any(os.path.exists(p) for p in outputs[1::2])
+
+
+@pytest.mark.parametrize(
+    "gold_words, message",
+    [
+        (["cats", "dogs"], "no test word has a reference analysis"),
+        (["mystery"], "no training word has a reference analysis"),
+        ([], "no training word has a reference analysis"),
+    ],
+    ids=["test", "training", "empty"],
+)
+def test_compare_checks_reference_coverage_before_training(
+    tmp_path, capsys, monkeypatch, gold_words, message
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although one side has no reference analysis")
+
+    monkeypatch.setattr(cli.mdl, "train_online", no_training)
+    corpus, gold = tmp_path / "corpus.txt", tmp_path / "gold.tsv"
+    corpus.write_text("cats dogs cats dogs cats dogs\nmystery riddle\n", encoding="utf-8")
+    gold.write_text("".join("%s\t%s PL\n" % (w, w.upper()) for w in gold_words), encoding="utf-8")
+    argv = ["compare", "--corpus", str(corpus), "--train-tokens", "6", "--test-tokens", "2",
+            "--gold", str(gold), "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_with_count_files_weights_tokens(tmp_path, capsys):
     seg_path, gold_path = eval_fixture(tmp_path)
     counts_path = tmp_path / "counts.tsv"

@@ -12,7 +12,7 @@ from morphseg.corpus import (
     read_corpus,
     split_corpus,
 )
-from morphseg.errors import CorpusSizeError, EmptyCorpusError
+from morphseg.errors import CorpusSizeError, EmptyCorpusError, MorphsegError
 
 
 def test_english_preset_keeps_clitics_and_hyphens():
@@ -102,8 +102,9 @@ def test_read_corpus_roundtrip(tmp_path):
 def test_read_corpus_rejects_bad_encoding(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"caf\xe9 au lait")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(MorphsegError) as err:
         read_corpus(path)
+    assert str(err.value) == "%s line 1: not valid UTF-8" % path
 
 
 @given(st.lists(st.text(alphabet="abz9'Q-", min_size=1, max_size=6), max_size=40))

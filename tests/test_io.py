@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphseg import io
-from morphseg.errors import ModelFormatError
+from morphseg.errors import ModelFormatError, MorphsegError
 from morphseg.mdl import ChunkStore, MdlConfig, train_online
 from morphseg.ml import MorphStats
 
@@ -112,6 +112,9 @@ def test_mdl_load_requires_char_bits(tmp_path):
     _write_lines(path, ["morphseg-mdl v1", "a\t0\t1"])
     with pytest.raises(ModelFormatError, match="char_bits"):
         io.load_mdl_model(path)
+    _write_lines(path, ["morphseg-mdl v1 char_bits", "a\t0\t1"])
+    with pytest.raises(ModelFormatError, match="bad header parameter 'char_bits'"):
+        io.load_mdl_model(path)
 
 
 @pytest.mark.parametrize("char_bits", ["0", "-3"])
@@ -160,6 +163,10 @@ def test_ml_load_checks_total(tmp_path):
     _write_lines(path, ["morphseg-ml v1 total=9", "a\t3", "b\t2"])
     with pytest.raises(ModelFormatError, match="header says 9"):
         io.load_ml_model(path)
+    for header in ["morphseg-ml v1", "morphseg-ml v1 total=5.0"]:
+        _write_lines(path, [header, "a\t3", "b\t2"])
+        with pytest.raises(ModelFormatError, match="missing or bad total"):
+            io.load_ml_model(path)
 
 
 def test_ml_load_rejects_bad_records(tmp_path):
@@ -293,6 +300,25 @@ def test_cost_curve_rejects_malformed_rows(tmp_path, row):
 def test_write_records_without_a_path_writes_to_stdout(capsys):
     io.write_records(None, ["morphseg-seg", "v1"], iter(["päivät\tpäivä t"]))
     assert capsys.readouterr().out == "morphseg-seg v1\npäivät\tpäivä t\n"
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_reading_names_the_line_of_the_first_bad_byte(tmp_path, line_end):
+    path = tmp_path / "words.txt"
+    path.write_bytes(line_end.join([b"a", b"", "päivä".encode("utf-8"), b"b\xffc", b"\xfe"]))
+    with pytest.raises(MorphsegError) as err:
+        with io.reading(path) as f:
+            f.read()
+    assert str(err.value) == "%s line 4: not valid UTF-8" % path
+
+
+def test_reading_passes_on_a_decode_error_the_file_does_not_cause(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("fine\n", encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError):
+        with io.reading(path) as f:
+            assert f.read() == "fine\n"
+            b"\xff".decode("utf-8")
 
 
 def test_sniff_format(tmp_path, tiny_corpus):
