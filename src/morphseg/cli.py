@@ -44,10 +44,6 @@ def _add_method_options(p):
         default=MdlConfig.dream_interval,
         help="tokens between dreaming events for rec-mdl (0 disables)",
     )
-    p.add_argument(
-        "--dream-passes", type=int, default=MdlConfig.dream_passes,
-        help="maximum reprocessing passes per dreaming event (at least 1)",
-    )
     p.add_argument("--iterations", type=int, default=10, help="EM iterations for seq-ml")
     p.add_argument(
         "--lambda",
@@ -122,7 +118,6 @@ def _checked_options(args):
     config = MdlConfig(
         char_bits=args.char_bits,
         dream_interval=args.dream_interval,
-        dream_passes=args.dream_passes,
         seed=args.seed,
     )
     # --char-bits prices both codebooks; len(alphabet) > 2**k without building 2**k

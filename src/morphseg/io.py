@@ -41,10 +41,11 @@ def output(path):
 
 @contextlib.contextmanager
 def reading(path):
-    """The file at path, opened for UTF-8 text with universal newlines. A
-    UnicodeDecodeError out of the body becomes a MorphsegError naming the line
-    of the file's first byte that is not UTF-8, or passes if the file has none."""
-    with open(path, encoding="utf-8") as f:
+    """The file at path, opened for UTF-8 text with universal newlines; a
+    leading byte-order mark is dropped. A UnicodeDecodeError out of the body
+    becomes a MorphsegError naming the line of the file's first byte that is
+    not UTF-8, or passes if the file has none."""
+    with open(path, encoding="utf-8-sig") as f:
         try:
             yield f
         except UnicodeDecodeError:

@@ -9,10 +9,11 @@ counts of its parents plus its own top-level insertions. The model cost is
     codebook bits = sum over distinct morphs of char_bits * len(morph)
 
 with p estimated by maximum likelihood from the leaf counts. Splits are
-chosen greedily and revised online as more text arrives; periodic
-"dreaming" passes reprocess known words to let early decisions catch up
-with the grown model. Each split point is priced by its exact cost change,
-read without changing the store; ties go to no split, then the leftmost.
+chosen greedily and revised online as more text arrives; each periodic
+"dreaming" event is one pass over the known words in random order, which
+lets early decisions catch up with the grown model. Each split point is
+priced by its exact cost change, read without changing the store; ties go
+to no split, then the leftmost.
 """
 
 import dataclasses
@@ -27,7 +28,6 @@ _logger = logging.getLogger(__name__)
 _log2 = math.log2
 
 DEFAULT_SEED = 42
-DREAM_THRESHOLD = 1e-4  # stop extra dreaming passes below this relative gain
 CURVE_INTERVAL = 2000  # tokens between cost-curve checkpoints
 
 
@@ -75,17 +75,13 @@ class MdlConfig:
 
     char_bits: int = 5
     dream_interval: int = 20000  # tokens between dreaming events; 0 disables
-    dream_passes: int = 1
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.char_bits < 1:
             raise ValueError("char_bits must be positive")
-        if self.dream_interval < 0 or self.dream_passes < 1:
-            raise ValueError(
-                "dream interval must not be negative and dream passes must be at"
-                " least 1 (an interval of 0 disables dreaming)"
-            )
+        if self.dream_interval < 0:
+            raise ValueError("dream interval must not be negative (0 disables dreaming)")
 
 
 class ChunkStore:
@@ -250,22 +246,13 @@ class ChunkStore:
         """process_word semantics without a count increment (dreaming)."""
         self.recursive_split(word)
 
-    def dream(self, rng=None, max_passes=1):
-        """Reprocess all known words in random order to settle the model.
-
-        Runs up to max_passes full passes; stops early once a pass improves
-        the total cost by less than the relative DREAM_THRESHOLD.
-        """
+    def dream(self, rng=None):
+        """Reprocess every known word once, in random order, to settle the model."""
         rng = rng or random.Random(DEFAULT_SEED)
-        for _ in range(max_passes):
-            before = self.tracked_cost
-            words = list(self.word_counts)
-            rng.shuffle(words)
-            for w in words:
-                self._reprocess(w)
-            after = self.tracked_cost
-            if before <= 0.0 or before - after < DREAM_THRESHOLD * before:
-                break
+        words = list(self.word_counts)
+        rng.shuffle(words)
+        for w in words:
+            self._reprocess(w)
 
     # -- reading the model ----------------------------------------------
 
@@ -370,9 +357,10 @@ def train_online(corpus, config=None, curve=None):
     """Feed a corpus through a fresh ChunkStore token by token.
 
     curve, if given, is appended with (tokens_processed, avg_word_cost_bits)
-    checkpoints every CURVE_INTERVAL tokens and after each dreaming event.
-    Each dreaming event logs one INFO record with args (tokens_processed,
-    cost_before, cost_after).
+    checkpoints every CURVE_INTERVAL tokens, after each dreaming event, and
+    after the last token if no checkpoint fell there; a corpus with no tokens
+    gives none. Each dreaming event logs one INFO record with args
+    (tokens_processed, cost_before, cost_after).
     """
     config = config or MdlConfig()
     store = ChunkStore(config.char_bits)
@@ -385,13 +373,13 @@ def train_online(corpus, config=None, curve=None):
             curve.append((n, store.tracked_cost / n))
         if config.dream_interval and n % config.dream_interval == 0:
             before = store.tracked_cost
-            store.dream(rng, config.dream_passes)
+            store.dream(rng)
             after = store.tracked_cost
             _logger.info(
                 "dreaming at %d tokens: %.1f -> %.1f bits", n, before, after
             )
             if curve is not None:
                 curve.append((n, after / n))
-    if curve is not None and (not curve or curve[-1][0] != n):
+    if curve is not None and n and (not curve or curve[-1][0] != n):
         curve.append((n, store.tracked_cost / n))
     return store

@@ -275,7 +275,7 @@ def test_11_count_flow_survives_random_operations(capsys):
         store = ChunkStore()
         for op in range(10000):
             if store.word_counts and rng.random() < 0.05:
-                store.dream(rng, max_passes=1)
+                store.dream(rng)
             else:
                 store.process_word(rng.choice(pool))
             inflow = {}

@@ -1,3 +1,4 @@
+import codecs
 import json
 import logging
 import math
@@ -179,7 +180,6 @@ def test_train_checks_options_before_reading_the_corpus(workdir, method, option,
         ("seq-ml", "--char-bits", "0", "char_bits must be positive"),
         ("seq-ml", "--char-bits", "4", "bits per character can code only 16"),
         ("seq-ml", "--dream-interval", "-1", "dream interval must not be negative"),
-        ("seq-ml", "--dream-passes", "0", "dream passes must be at least 1"),
         ("rec-mdl", "--lambda", "0", "lambda must be at least"),
         ("rec-mdl", "--iterations", "0", "need at least one seq-ml iteration"),
     ],
@@ -613,6 +613,39 @@ def test_a_bad_byte_past_the_first_8_kib_is_reported_with_its_path_and_line(
     assert main([command, *map(str, inputs + outputs)]) == 3
     assert "%s line 5001: not valid UTF-8" % bad in capsys.readouterr().err
     assert not any(os.path.exists(p) for p in outputs[1::2])
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("compare", "--corpus"), ("compare", "--gold"), ("compare", "--tags"), ("segment", "--words")],
+)
+def test_a_byte_order_mark_at_the_start_of_an_input_is_ignored(
+    workdir, caplog, capsys, command, option
+):
+    model, words = workdir / "rec.model", workdir / "words.txt"
+    if command == "segment":
+        _train(workdir, "rec-mdl", model, ["--dream-interval", "400"])
+        words.write_text("\n".join(read_corpus(workdir / "corpus.txt").tokens[:50]) + "\n",
+                         encoding="utf-8")
+    inputs = {
+        "compare": ["--corpus", workdir / "corpus.txt", "--gold", workdir / "gold.tsv",
+                    "--tags", workdir / "tags.txt", "--train-tokens", "400", "--test-tokens", "100"],
+        "segment": ["--model", model, "--words", words],
+    }[command]
+    at = inputs.index(option) + 1
+    marked = workdir / "marked.txt"
+    marked.write_bytes(codecs.BOM_UTF8 + inputs[at].read_bytes())
+    outputs = []
+    for path in (inputs[at], marked):
+        inputs[at] = path
+        out = workdir / ("out-" + path.name)
+        output = ["--out-dir", out] if command == "compare" else ["--out", out]
+        assert main([command, *map(str, inputs + output)]) == 0
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        outputs.append(([f.read_bytes() for f in files], capsys.readouterr().out, caplog.messages))
+        caplog.clear()
+    plain_outputs, marked_outputs = outputs
+    assert marked_outputs == plain_outputs
 
 
 @pytest.mark.parametrize(
@@ -1131,7 +1164,7 @@ def test_empty_alphabet_is_a_usage_error(workdir, capsys):
     assert capsys.readouterr().err.count("error: alphabet must not be empty") == 2
 
 
-@pytest.mark.parametrize("option", ["--dream-interval", "--dream-passes"])
+@pytest.mark.parametrize("option", ["--dream-interval"])
 def test_negative_dreaming_settings_are_usage_errors(workdir, option):
     code = main(
         [
@@ -1147,21 +1180,17 @@ def test_negative_dreaming_settings_are_usage_errors(workdir, option):
     assert not (workdir / "run").exists()
 
 
-def test_zero_dream_passes_is_a_usage_error_before_reading(workdir, capsys):
+def test_dreaming_has_no_passes_option(workdir, capsys):
+    # each dreaming event is one pass over the known words
     (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    code = main(
-        [
-            "train", "--method", "rec-mdl",
-            "--corpus", str(workdir / "corpus.txt"),
-            "--model", str(workdir / "m"),
-            "--dream-passes", "0",
-        ]
-    )
-    assert code == 2
-    assert not (workdir / "m").exists()
-    assert main(_compare_argv(workdir, "--dream-passes", "0")) == 2
-    assert not (workdir / "run").exists()
-    assert capsys.readouterr().err.count("dream passes must be at least 1") == 2
+    train = ["train", "--method", "rec-mdl", "--corpus", str(workdir / "corpus.txt"),
+             "--model", str(workdir / "m")]
+    for argv in (train, _compare_argv(workdir)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dream-passes", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dream-passes 2" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
 
 
 @pytest.mark.parametrize("char_bits", ["0", "-1"])

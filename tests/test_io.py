@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -302,10 +304,15 @@ def test_write_records_without_a_path_writes_to_stdout(capsys):
     assert capsys.readouterr().out == "morphseg-seg v1\npäivät\tpäivä t\n"
 
 
-@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-def test_reading_names_the_line_of_the_first_bad_byte(tmp_path, line_end):
+@pytest.mark.parametrize(
+    "start, line_end",
+    [(b"", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (codecs.BOM_UTF8, b"\n")],
+    ids=["lf", "crlf", "cr", "bom"],
+)
+def test_reading_names_the_line_of_the_first_bad_byte(tmp_path, start, line_end):
     path = tmp_path / "words.txt"
-    path.write_bytes(line_end.join([b"a", b"", "päivä".encode("utf-8"), b"b\xffc", b"\xfe"]))
+    lines = [b"a", b"", "päivä".encode("utf-8"), b"b\xffc", b"\xfe"]
+    path.write_bytes(start + line_end.join(lines))
     with pytest.raises(MorphsegError) as err:
         with io.reading(path) as f:
             f.read()
@@ -375,13 +382,17 @@ _HEADED_FILES = {
 }
 
 
-@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize(
+    "start, line_end",
+    [(b"", b"\r\n"), (b"", b"\r"), (codecs.BOM_UTF8, b"\n")],
+    ids=["crlf", "cr", "bom"],
+)
 @pytest.mark.parametrize("kind", sorted(_HEADED_FILES))
-def test_headed_loaders_read_crlf_files_as_lf_files(tmp_path, tiny_corpus, kind, line_end):
+def test_headed_loaders_read_crlf_files_as_lf_files(tmp_path, tiny_corpus, kind, start, line_end):
     save, load, make = _HEADED_FILES[kind]
     lf_path, other_path = tmp_path / "lf", tmp_path / "other"
     save(make(tiny_corpus), lf_path)
     lf_bytes = lf_path.read_bytes()
     assert b"\r" not in lf_bytes
-    other_path.write_bytes(lf_bytes.replace(b"\n", line_end))
+    other_path.write_bytes(start + lf_bytes.replace(b"\n", line_end))
     assert load(other_path) == load(lf_path)

@@ -97,17 +97,11 @@ def test_segment_word_returns_the_stores_leaf_texts(tiny_corpus):
     assert split  # some morphs come from inside a split word
 
 
-@pytest.mark.parametrize("field", ["dream_interval", "dream_passes"])
+@pytest.mark.parametrize("field", ["dream_interval"])
 def test_negative_dreaming_settings_are_rejected(field):
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="dream interval must not be negative"):
         MdlConfig(**{field: -1})
-    if field == "dream_interval":
-        MdlConfig(dream_interval=0)  # an interval of 0 disables dreaming
-    else:
-        # a dreaming event with no pass would change nothing; the interval
-        # is the one switch that turns dreaming off
-        with pytest.raises(ValueError, match="at least 1"):
-            MdlConfig(dream_passes=0)
+    MdlConfig(**{field: 0})  # an interval of 0 disables dreaming
 
 
 def test_tracked_cost_matches_scratch(tiny_corpus):
@@ -186,7 +180,9 @@ def test_dreaming_is_deterministic(tiny_corpus):
     stores = []
     for _ in range(2):
         store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
-        store.dream(random.Random(5), max_passes=3)
+        rng = random.Random(5)
+        for _ in range(3):
+            store.dream(rng)
         stores.append(store)
     assert stores[0] == stores[1]
     stores[0].check_integrity()
@@ -229,6 +225,14 @@ def test_train_online_curve_and_dream_log(caplog):
     store.check_integrity()
 
 
+def test_train_online_on_no_tokens_has_no_curve_points():
+    curve = []
+    store = train_online(Corpus.from_tokens([]), curve=curve)
+    assert curve == []
+    assert store.chunks == {} and store.word_counts == {}
+    assert store.tracked_cost == 0.0
+
+
 words_lists = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=6), min_size=1, max_size=25
 )
@@ -252,7 +256,9 @@ def test_dreaming_preserves_all_invariants(words, seed):
     store = ChunkStore()
     for w in words:
         store.process_word(w)
-    store.dream(random.Random(seed), max_passes=2)
+    rng = random.Random(seed)
+    for _ in range(2):
+        store.dream(rng)
     store.check_integrity()
     for w in set(words):
         assert "".join(store.segment_word(w)) == w
@@ -319,8 +325,10 @@ def _follow(operations, reference):
             store.process_word(op)
             reference.process_word(op)
         else:
-            store.dream(random.Random(op), max_passes=2)
-            reference.dream(random.Random(op), max_passes=2)
+            store_rng, reference_rng = random.Random(op), random.Random(op)
+            for _ in range(2):
+                store.dream(store_rng)
+                reference.dream(reference_rng)
         _same_state(store, reference)
 
 
