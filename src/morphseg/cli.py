@@ -16,7 +16,7 @@ from pathlib import Path
 from . import align, io, mdl, ml, report
 from .corpus import ALPHABETS, PreprocessConfig, read_corpus, split_corpus
 from .errors import MorphsegError, NotTrainedError, UnsegmentableError
-from .mdl import ChunkStore, MdlConfig
+from .mdl import ChunkStore
 from .ml import MorphStats
 
 _logger = logging.getLogger(__name__)
@@ -36,15 +36,15 @@ def _add_corpus_options(p):
 
 
 def _add_method_options(p):
-    p.add_argument("--char-bits", type=int, default=5, help="codebook bits per character")
+    p.add_argument("--char-bits", type=int, default=mdl.CHAR_BITS, help="codebook bits per character")
     p.add_argument("--seed", type=int, default=mdl.DEFAULT_SEED, help="random seed")
     p.add_argument(
         "--dream-interval",
         type=int,
-        default=MdlConfig.dream_interval,
+        default=mdl.DREAM_INTERVAL,
         help="tokens between dreaming events for rec-mdl (0 disables)",
     )
-    p.add_argument("--iterations", type=int, default=10, help="EM iterations for seq-ml")
+    p.add_argument("--iterations", type=int, default=ml.ITERATIONS, help="EM iterations for seq-ml")
     p.add_argument(
         "--lambda",
         dest="interval_mean",
@@ -107,7 +107,7 @@ def build_parser():
 
 
 def _checked_options(args):
-    """(preprocessing config, rec-mdl config) of train's or compare's options.
+    """The preprocessing config of train's or compare's options.
 
     Raises ValueError for an option either method cannot use, whatever
     --method says, so that an unusable one is rejected before any input is read.
@@ -115,11 +115,10 @@ def _checked_options(args):
     # --alphabet is a preset name or an explicit string of allowed characters
     alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
     pre = PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
-    config = MdlConfig(
-        char_bits=args.char_bits,
-        dream_interval=args.dream_interval,
-        seed=args.seed,
-    )
+    if args.char_bits < 1:
+        raise ValueError("char_bits must be positive")
+    if args.dream_interval < 0:
+        raise ValueError("dream interval must not be negative (0 disables dreaming)")
     # --char-bits prices both codebooks; len(alphabet) > 2**k without building 2**k
     if (len(pre.alphabet) - 1).bit_length() > args.char_bits:
         raise ValueError(
@@ -129,7 +128,7 @@ def _checked_options(args):
     ml.check_interval_mean(args.interval_mean)
     if args.iterations < 1:
         raise ValueError("need at least one seq-ml iteration")
-    return pre, config
+    return pre
 
 
 def _check_output_dirs(paths, inputs, made_dir=None):
@@ -157,21 +156,24 @@ def _check_output_dirs(paths, inputs, made_dir=None):
         seen.add(resolved)
 
 
-def _train(method, args, config, corpus):
+def _train(method, args, corpus):
     """(model, training segmentation or None, cost curve or None); the curve
     is rec-mdl's, kept when --cost-curve is given. Writes no file.
     Logs one INFO record, args (method, tokens, morphs, bits of build_report,
     seconds spent in the training call)."""
     segmentation = None
     curve = [] if args.cost_curve and method == "rec-mdl" else None
+    rng = random.Random(args.seed)
     start = time.perf_counter()
     if method == "rec-mdl":
-        model = mdl.train_online(corpus, config, curve=curve)
+        model = mdl.train_online(
+            corpus, char_bits=args.char_bits, dream_interval=args.dream_interval, rng=rng, curve=curve
+        )
     else:
         segmentation, model = ml.train_em(
             corpus,
             iterations=args.iterations,
-            rng=random.Random(args.seed),
+            rng=rng,
             mean_interval=args.interval_mean,
             use_rejection=not args.no_reject,
         )
@@ -186,14 +188,14 @@ def _train(method, args, config, corpus):
 
 
 def cmd_train(args):
-    pre, config = _checked_options(args)
+    pre = _checked_options(args)
     if args.cost_curve and args.method == "seq-ml":
         raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     _check_output_dirs([args.model, args.cost_curve], [args.corpus])
     corpus = read_corpus(args.corpus, pre)
     if args.train_tokens is not None:
         (corpus,) = split_corpus(corpus, args.train_tokens)
-    model, _, curve = _train(args.method, args, config, corpus)
+    model, _, curve = _train(args.method, args, corpus)
     io.save_model(model, args.model)
     if curve is not None:
         io.write_cost_curve(curve, args.cost_curve)
@@ -337,14 +339,14 @@ def _compare_outputs(out_dir):
     return files, out_dir / "report.json"
 
 
-def _compare_method(method, args, config, train, test, gold, files):
+def _compare_method(method, args, train, test, gold, files):
     """Report row of one method, its _compare_outputs files written if given;
     its model, segmentations and evaluation die with this call, before the next method runs.
 
     Distances are fitted before the model is saved, so a --max-distance
     below a fitted distance fails before the method writes anything; the
     rec-mdl cost curve is written right after its model."""
-    model, train_seg, curve = _train(method, args, config, train)
+    model, train_seg, curve = _train(method, args, train)
     if method == "rec-mdl":
         train_seg = _segment_types(model, train)  # every type is known: the store is unchanged
     table = evaluation = None
@@ -370,8 +372,10 @@ def _compare_method(method, args, config, train, test, gold, files):
 
 
 def cmd_compare(args):
-    pre, config = _checked_options(args)
+    pre = _checked_options(args)
     align.check_max_distance(args.max_distance)
+    if not args.gold and (args.tags or args.max_distance is not None):
+        raise ValueError("--tags and --max-distance apply to the alignment, which needs --gold")
     files, report_path = _compare_outputs(Path(args.out_dir)) if args.out_dir else ({}, None)
     outputs = [*sum(files.values(), []), report_path, args.cost_curve]
     _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)
@@ -382,7 +386,7 @@ def cmd_compare(args):
         align.covered_words(train.type_counts, gold, "training word")
         align.covered_words(test.type_counts, gold, "test word")
     reports = [
-        _compare_method(method, args, config, train, test, gold, files.get(method))
+        _compare_method(method, args, train, test, gold, files.get(method))
         for method in _COMPARE_METHODS
     ]
     if report_path:

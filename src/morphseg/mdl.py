@@ -28,6 +28,8 @@ _logger = logging.getLogger(__name__)
 _log2 = math.log2
 
 DEFAULT_SEED = 42
+CHAR_BITS = 5  # codebook bits per character
+DREAM_INTERVAL = 20000  # tokens between dreaming events; 0 disables
 CURVE_INTERVAL = 2000  # tokens between cost-curve checkpoints
 
 
@@ -69,25 +71,10 @@ class MdlCost:
         return self.corpus_bits + self.codebook_bits
 
 
-@dataclasses.dataclass
-class MdlConfig:
-    """Knobs for online training."""
-
-    char_bits: int = 5
-    dream_interval: int = 20000  # tokens between dreaming events; 0 disables
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.char_bits < 1:
-            raise ValueError("char_bits must be positive")
-        if self.dream_interval < 0:
-            raise ValueError("dream interval must not be negative (0 disables dreaming)")
-
-
 class ChunkStore:
     """Hierarchical chunk model."""
 
-    def __init__(self, char_bits=5):
+    def __init__(self, char_bits=CHAR_BITS):
         if char_bits < 1:
             raise ValueError("char_bits must be positive")
         self.char_bits = char_bits
@@ -353,8 +340,10 @@ class ChunkStore:
     __hash__ = None
 
 
-def train_online(corpus, config=None, curve=None):
-    """Feed a corpus through a fresh ChunkStore token by token.
+def train_online(corpus, char_bits=CHAR_BITS, dream_interval=DREAM_INTERVAL, rng=None, curve=None):
+    """Feed a corpus through a fresh ChunkStore token by token, dreaming
+    every dream_interval tokens (0 disables dreaming) in the word order
+    rng draws; rng defaults to a generator seeded with DEFAULT_SEED.
 
     curve, if given, is appended with (tokens_processed, avg_word_cost_bits)
     checkpoints every CURVE_INTERVAL tokens, after each dreaming event, and
@@ -362,16 +351,17 @@ def train_online(corpus, config=None, curve=None):
     gives none. Each dreaming event logs one INFO record with args
     (tokens_processed, cost_before, cost_after).
     """
-    config = config or MdlConfig()
-    store = ChunkStore(config.char_bits)
-    rng = random.Random(config.seed)
+    if dream_interval < 0:
+        raise ValueError("dream interval must not be negative (0 disables dreaming)")
+    store = ChunkStore(char_bits)
+    rng = rng or random.Random(DEFAULT_SEED)
     n = 0
     for token in corpus.tokens:
         store.process_word(token)
         n += 1
         if curve is not None and n % CURVE_INTERVAL == 0:
             curve.append((n, store.tracked_cost / n))
-        if config.dream_interval and n % config.dream_interval == 0:
+        if dream_interval and n % dream_interval == 0:
             before = store.tracked_cost
             store.dream(rng)
             after = store.tracked_cost

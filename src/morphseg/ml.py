@@ -21,6 +21,7 @@ _logger = logging.getLogger(__name__)
 
 DEFAULT_INTERVAL_MEAN = 5.5
 MIN_INTERVAL_MEAN = 0.01
+ITERATIONS = 10  # Viterbi-EM iterations
 
 
 @dataclasses.dataclass
@@ -183,7 +184,7 @@ def reject(morphs, prev_type_usage):
 
 def train_em(
     corpus,
-    iterations=10,
+    iterations=ITERATIONS,
     rng=None,
     mean_interval=DEFAULT_INTERVAL_MEAN,
     use_rejection=True,

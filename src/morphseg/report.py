@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 from . import io
-from .mdl import ChunkStore, MdlCost
+from .mdl import CHAR_BITS, ChunkStore, MdlCost
 from .ml import MorphStats
 
 ML_FOOTNOTE = (
@@ -40,7 +40,7 @@ class MetricsReport:
         return record
 
 
-def build_report(model, evaluation=None, char_bits=5):
+def build_report(model, evaluation=None, char_bits=CHAR_BITS):
     """MetricsReport for a trained ChunkStore or MorphStats.
 
     char_bits prices the codebook of a MorphStats; a ChunkStore carries

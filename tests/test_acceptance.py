@@ -20,7 +20,7 @@ from morphseg.align import DistanceTable, align_word, em_align, parse_gold, scor
 from morphseg.cli import main as cli_main
 from morphseg.corpus import split_corpus
 from morphseg.errors import UnsegmentableError
-from morphseg.mdl import ChunkStore, MdlConfig, train_online
+from morphseg.mdl import ChunkStore, train_online
 from morphseg.ml import MorphStats, poisson, reject, train_em, viterbi_segment
 from morphseg.synth import generate
 
@@ -41,7 +41,7 @@ def test_01_tracked_cost_equals_scratch_recompute(capsys):
     def body():
         corpus, _, _ = synthetic_corpus(10000, seed=11)
         t0 = time.perf_counter()
-        store = train_online(corpus, MdlConfig(dream_interval=2500))
+        store = train_online(corpus, dream_interval=2500)
         elapsed = time.perf_counter() - t0
         scratch = store.total_cost().total_bits
         assert abs(store.tracked_cost - scratch) <= 1e-9 * scratch
@@ -163,7 +163,7 @@ def test_07_dreaming_lowers_average_word_cost(capsys, caplog, tmp_path):
         curve = []
         t0 = time.perf_counter()
         with caplog.at_level(logging.INFO, logger="morphseg.mdl"):
-            train_online(corpus, MdlConfig(), curve=curve)
+            train_online(corpus, curve=curve)
         elapsed = time.perf_counter() - t0
         dream_log = logged_args(caplog, "morphseg.mdl")
         assert dream_log, "no dreaming events in 50k tokens"
@@ -204,7 +204,7 @@ def test_09_desk_scale_codebook_compression(capsys):
         corpus, gold_lines, _ = synthetic_corpus(100000, seed=9)
         assert gold_lines
         t0 = time.perf_counter()
-        store = train_online(corpus, MdlConfig())
+        store = train_online(corpus)
         elapsed = time.perf_counter() - t0
         cost = store.total_cost()
         assert len(dict(store.iter_morphs())) < len(corpus.type_counts)

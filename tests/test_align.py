@@ -1,5 +1,6 @@
 import logging
 import math
+import random
 import re
 
 import pytest
@@ -383,13 +384,13 @@ def test_em_align_monotone_for_model_segmentations(caplog):
     # inventories real training produces
     from morphseg import synth
     from morphseg.corpus import Corpus
-    from morphseg.mdl import MdlConfig, train_online
+    from morphseg.mdl import train_online
 
     for seed in (0, 1, 2):
         tokens, gold_lines, tags = synth.generate(2500, seed=seed)
         corpus = Corpus.from_tokens(tokens)
         gold = parse_gold(gold_lines, tag_filter=set(tags))
-        store = train_online(corpus, MdlConfig(dream_interval=1000, seed=seed))
+        store = train_online(corpus, dream_interval=1000, rng=random.Random(seed))
         segmented = {w: store.segment_word(w) for w in corpus.type_counts}
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="morphseg.align"):
@@ -410,8 +411,6 @@ def test_em_align_monotone_for_model_segmentations(caplog):
 )
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_em_align_stops_once_improvement_stalls(caplog, type_counts, seed):
-    import random
-
     rng = random.Random(seed)
     segmented = {}
     gold_lines = []

@@ -864,6 +864,23 @@ def test_train_logs_the_seconds_of_the_training_call_only(workdir, monkeypatch, 
     assert args[4] == 2.5
 
 
+def test_no_reject_reaches_seq_ml_training(workdir, caplog):
+    argv = ["train", "--method", "seq-ml", "--corpus", str(workdir / "corpus.txt"),
+            "--model", str(workdir / "m"), "--iterations", "4"]
+    logged = {}
+    with caplog.at_level(logging.INFO, logger="morphseg.ml"):
+        for extra in ([], ["--no-reject"]):
+            caplog.clear()
+            assert main(argv + extra) == 0
+            logged[bool(extra)] = logged_args(caplog, "morphseg.ml")
+    # args: iteration, morphs, corpus bits, rejected
+    assert [args[0] for args in logged[True]] == [1, 2, 3, 4]
+    assert all(args[3] == 0 for args in logged[True])
+    bits = [args[2] for args in logged[True]]
+    assert all(later <= earlier for earlier, later in zip(bits, bits[1:]))
+    assert sum(args[3] for args in logged[False]) > 0
+
+
 def test_compare_without_gold_skips_alignment_rows(workdir, capsys):
     code = main(
         [
@@ -919,6 +936,18 @@ def test_compare_rejects_unusable_max_distance_before_reading(workdir, capsys, v
     (workdir / "corpus.txt").unlink()
     assert main(_compare_argv(workdir, "--max-distance", value)) == 2
     assert "max distance must be finite and non-negative" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("option", ["--tags", "--max-distance"])
+def test_compare_rejects_alignment_options_without_gold_before_reading(workdir, capsys, option):
+    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
+    extra = [option, str(workdir / "tags.txt") if option == "--tags" else "3"]
+    argv = ["compare", "--corpus", str(workdir / "corpus.txt"),
+            "--train-tokens", "400", "--test-tokens", "100", *extra]
+    assert main(argv) == 2
+    assert main(argv + ["--out-dir", str(workdir / "run")]) == 2
+    assert capsys.readouterr().err.count("which needs --gold") == 2
     assert not (workdir / "run").exists()
 
 
@@ -1033,7 +1062,7 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         (also_input % counts, evaluate + ["--test-counts", counts, "--dump-alignments", counts]),
         (also_input % corpus, _compare_argv(workdir, "--cost-curve", corpus)),
         (also_input % gold, _compare_argv(workdir, "--gold", gold, "--cost-curve", gold)),
-        (also_input % tags, _compare_argv(workdir, "--tags", tags, "--cost-curve", tags)),
+        (also_input % tags, _compare_argv(workdir, "--gold", gold, "--tags", tags, "--cost-curve", tags)),
         # one of compare's seven --out-dir files
         (also_input % run_test_seg, _compare_argv(workdir, "--gold", run_test_seg)),
     ]:

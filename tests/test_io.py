@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from morphseg import io
 from morphseg.errors import ModelFormatError, MorphsegError
-from morphseg.mdl import ChunkStore, MdlConfig, train_online
+from morphseg.mdl import ChunkStore, train_online
 from morphseg.ml import MorphStats
 
 
@@ -14,7 +14,7 @@ from morphseg.ml import MorphStats
 
 def test_mdl_roundtrip(tmp_path, tiny_corpus):
     path = tmp_path / "m.model"
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=4))
+    store = train_online(tiny_corpus, dream_interval=4)
     io.save_mdl_model(store, path)
     loaded = io.load_mdl_model(path)
     assert loaded == store
@@ -36,7 +36,7 @@ def test_mdl_single_leaf_roundtrip_is_exact(tmp_path):
 
 
 def test_mdl_save_is_deterministic(tmp_path, tiny_corpus):
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+    store = train_online(tiny_corpus, dream_interval=0)
     io.save_mdl_model(store, tmp_path / "a.model")
     io.save_mdl_model(store, tmp_path / "b.model")
     assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
@@ -331,7 +331,7 @@ def test_reading_passes_on_a_decode_error_the_file_does_not_cause(tmp_path):
 def test_sniff_format(tmp_path, tiny_corpus):
     mdl_path = tmp_path / "a.model"
     ml_path = tmp_path / "b.model"
-    io.save_mdl_model(train_online(tiny_corpus, MdlConfig(dream_interval=0)), mdl_path)
+    io.save_mdl_model(train_online(tiny_corpus, dream_interval=0), mdl_path)
     io.save_ml_model(MorphStats({"a": 1}, 1, {}), ml_path)
     assert io.sniff_format(mdl_path) == "morphseg-mdl"
     assert io.sniff_format(ml_path) == "morphseg-ml"
@@ -340,7 +340,7 @@ def test_sniff_format(tmp_path, tiny_corpus):
 @pytest.mark.parametrize("kind", ["mdl", "ml"])
 def test_save_model_and_load_model_round_trip_either_kind(tmp_path, tiny_corpus, kind):
     if kind == "mdl":
-        model, save = train_online(tiny_corpus, MdlConfig(dream_interval=4)), io.save_mdl_model
+        model, save = train_online(tiny_corpus, dream_interval=4), io.save_mdl_model
     else:
         model, save = MorphStats({"cat": 2, "s": 3}, 5, {"cat": 1, "s": 2}), io.save_ml_model
     io.save_model(model, tmp_path / "any.model")
@@ -369,7 +369,7 @@ _HEADED_FILES = {
     "mdl": (
         io.save_mdl_model,
         io.load_mdl_model,
-        lambda corpus: train_online(corpus, MdlConfig(dream_interval=4)),
+        lambda corpus: train_online(corpus, dream_interval=4),
     ),
     "ml": (io.save_ml_model, io.load_ml_model, lambda corpus: MorphStats({"cat": 2, "s": 1}, 3, {})),
     "seg": (

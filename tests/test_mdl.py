@@ -11,7 +11,7 @@ from conftest import logged_args
 from morphseg import io, synth
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, NotTrainedError
-from morphseg.mdl import ChunkStore, MdlConfig, train_online
+from morphseg.mdl import ChunkStore, train_online
 
 
 def test_single_letter_word():
@@ -79,7 +79,7 @@ def test_segment_unknown_word():
 
 
 def test_segment_traces_to_morphs(tiny_corpus):
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+    store = train_online(tiny_corpus, dream_interval=0)
     for word in tiny_corpus.type_counts:
         morphs = store.segment_word(word)
         assert "".join(morphs) == word
@@ -87,7 +87,7 @@ def test_segment_traces_to_morphs(tiny_corpus):
 
 
 def test_segment_word_returns_the_stores_leaf_texts(tiny_corpus):
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+    store = train_online(tiny_corpus, dream_interval=0)
     split = 0
     for word in tiny_corpus.type_counts:
         morphs = store.segment_word("".join(list(word)))  # a fresh copy of the word
@@ -98,14 +98,14 @@ def test_segment_word_returns_the_stores_leaf_texts(tiny_corpus):
 
 
 @pytest.mark.parametrize("field", ["dream_interval"])
-def test_negative_dreaming_settings_are_rejected(field):
+def test_negative_dreaming_settings_are_rejected(tiny_corpus, field):
     with pytest.raises(ValueError, match="dream interval must not be negative"):
-        MdlConfig(**{field: -1})
-    MdlConfig(**{field: 0})  # an interval of 0 disables dreaming
+        train_online(tiny_corpus, **{field: -1})
+    train_online(tiny_corpus, **{field: 0})  # an interval of 0 disables dreaming
 
 
 def test_tracked_cost_matches_scratch(tiny_corpus):
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+    store = train_online(tiny_corpus, dream_interval=0)
     scratch = store.total_cost()
     assert store.tracked_cost == pytest.approx(scratch.total_bits, rel=1e-9)
     assert scratch.corpus_bits >= 0.0
@@ -115,7 +115,7 @@ def test_tracked_cost_matches_scratch(tiny_corpus):
 
 
 def test_codebook_accessors(tiny_corpus):
-    store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+    store = train_online(tiny_corpus, dream_interval=0)
     morphs = dict(store.iter_morphs())
     assert morphs == {c.text: c.count for c in store.chunks.values() if c.split == 0}
     assert all(n > 0 for n in morphs.values())
@@ -179,7 +179,7 @@ def test_integrity_catches_corruption(corrupt, message):
 def test_dreaming_is_deterministic(tiny_corpus):
     stores = []
     for _ in range(2):
-        store = train_online(tiny_corpus, MdlConfig(dream_interval=0))
+        store = train_online(tiny_corpus, dream_interval=0)
         rng = random.Random(5)
         for _ in range(3):
             store.dream(rng)
@@ -195,8 +195,8 @@ def test_dream_on_empty_store_is_a_no_op():
 
 
 def test_train_online_is_deterministic(tiny_corpus):
-    a = train_online(tiny_corpus, MdlConfig(dream_interval=4))
-    b = train_online(tiny_corpus, MdlConfig(dream_interval=4))
+    a = train_online(tiny_corpus, dream_interval=4)
+    b = train_online(tiny_corpus, dream_interval=4)
     assert a == b
 
 
@@ -206,9 +206,8 @@ def test_train_online_curve_and_dream_log(caplog):
     tokens, _, _ = synth.generate(5000, seed=0)
     corpus = Corpus.from_tokens(tokens)
     curve = []
-    config = MdlConfig(dream_interval=2000)
     with caplog.at_level(logging.INFO, logger="morphseg.mdl"):
-        store = train_online(corpus, config, curve=curve)
+        store = train_online(corpus, dream_interval=2000, curve=curve)
     dream_log = logged_args(caplog, "morphseg.mdl")
 
     assert [n for n, _, _ in dream_log] == [2000, 4000]
