@@ -9,6 +9,7 @@ import argparse
 import json
 import logging
 import random
+import signal
 import sys
 import time
 from pathlib import Path
@@ -419,6 +420,8 @@ def main(argv=None):
 
 
 def entry():
+    if hasattr(signal, "SIGPIPE"):  # POSIX: a closed stdout ends it quietly, like other filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

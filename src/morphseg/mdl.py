@@ -47,28 +47,16 @@ class Chunk:
     split: int = 0
 
 
-@dataclasses.dataclass
-class MdlCost:
-    """The two-part cost both methods are compared under."""
+def cost_bits(counts, char_bits):
+    """(corpus bits, codebook bits) of a codebook given as morph -> token count.
 
-    corpus_bits: float
-    codebook_bits: float
-
-    @classmethod
-    def of(cls, counts, char_bits):
-        """Cost of a codebook given as morph -> token count.
-
-        Corpus bits code each morph token by its maximum-likelihood
-        probability; codebook bits spell out each distinct morph at
-        char_bits per character.
-        """
-        n = sum(counts.values())
-        corpus = math.fsum(c * _log2(n / c) for c in counts.values())
-        return cls(corpus, float(char_bits * sum(map(len, counts))))
-
-    @property
-    def total_bits(self):
-        return self.corpus_bits + self.codebook_bits
+    Corpus bits code each morph token by its maximum-likelihood probability;
+    codebook bits spell out each distinct morph at char_bits per character.
+    Both methods are compared under the total, corpus + codebook in that order.
+    """
+    n = sum(counts.values())
+    corpus = math.fsum(c * _log2(n / c) for c in counts.values())
+    return corpus, float(char_bits * sum(map(len, counts)))
 
 
 class ChunkStore:
@@ -85,14 +73,13 @@ class ChunkStore:
 
     # -- cost ---------------------------------------------------------
 
-    @property
-    def tracked_cost(self):
-        """Total cost in bits, as total_cost() prices it."""
-        return self.total_cost().total_bits
-
     def total_cost(self):
-        """The cost of the stored chunks' codebook."""
-        return MdlCost.of(dict(self.iter_morphs()), self.char_bits)
+        """Total cost in bits of the stored chunks' codebook, as cost_bits prices it."""
+        corpus, codebook = cost_bits(dict(self.iter_morphs()), self.char_bits)
+        return corpus + codebook
+
+    # kept only because perfbench/layers.py reads it; ROADMAP item 6 deletes it
+    tracked_cost = property(total_cost)
 
     def iter_morphs(self):
         """Leaf chunks, i.e. the current codebook with usage counts."""
@@ -233,9 +220,8 @@ class ChunkStore:
         """process_word semantics without a count increment (dreaming)."""
         self.recursive_split(word)
 
-    def dream(self, rng=None):
-        """Reprocess every known word once, in random order, to settle the model."""
-        rng = rng or random.Random(DEFAULT_SEED)
+    def dream(self, rng):
+        """Reprocess every known word once, in the random order rng draws, to settle the model."""
         words = list(self.word_counts)
         rng.shuffle(words)
         for w in words:
@@ -360,16 +346,16 @@ def train_online(corpus, char_bits=CHAR_BITS, dream_interval=DREAM_INTERVAL, rng
         store.process_word(token)
         n += 1
         if curve is not None and n % CURVE_INTERVAL == 0:
-            curve.append((n, store.tracked_cost / n))
+            curve.append((n, store.total_cost() / n))
         if dream_interval and n % dream_interval == 0:
-            before = store.tracked_cost
+            before = store.total_cost()
             store.dream(rng)
-            after = store.tracked_cost
+            after = store.total_cost()
             _logger.info(
                 "dreaming at %d tokens: %.1f -> %.1f bits", n, before, after
             )
             if curve is not None:
                 curve.append((n, after / n))
     if curve is not None and n and (not curve or curve[-1][0] != n):
-        curve.append((n, store.tracked_cost / n))
+        curve.append((n, store.total_cost() / n))
     return store

@@ -15,7 +15,7 @@ import random
 import sys
 
 from .errors import UnsegmentableError, MorphsegError
-from .mdl import DEFAULT_SEED, MdlCost
+from .mdl import DEFAULT_SEED, cost_bits
 
 _logger = logging.getLogger(__name__)
 
@@ -64,10 +64,6 @@ class MorphStats:
             for m in set(morphs):
                 usage[m] = usage.get(m, 0) + 1
         return cls(counts, sum(counts.values()), usage)
-
-    def corpus_bits(self):
-        """sum over morph tokens of -log2 p(morph), p by maximum likelihood."""
-        return MdlCost.of(self.counts, 0).corpus_bits
 
 
 def check_interval_mean(lam):
@@ -224,6 +220,6 @@ def train_em(
         stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
         _logger.info(
             "seq-ml iteration %d: %d morphs, %.1f corpus bits, %d rejected",
-            it + 1, len(stats.counts), stats.corpus_bits(), rejected,
+            it + 1, len(stats.counts), cost_bits(stats.counts, 0)[0], rejected,
         )
     return segmentation, stats

@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 from . import io
-from .mdl import CHAR_BITS, ChunkStore, MdlCost
+from .mdl import CHAR_BITS, ChunkStore, cost_bits
 from .ml import MorphStats
 
 ML_FOOTNOTE = (
@@ -52,15 +52,15 @@ def build_report(model, evaluation=None, char_bits=CHAR_BITS):
         method, counts = "seq-ml", model.counts
     else:
         raise TypeError("unsupported model type: %r" % type(model).__name__)
-    cost = MdlCost.of(counts, char_bits)
-    total = cost.total_bits
+    corpus, codebook = cost_bits(counts, char_bits)
+    total = corpus + codebook
     return MetricsReport(
         method=method,
         total_cost_bits=total,
-        corpus_cost_bits=cost.corpus_bits,
-        codebook_cost_bits=cost.codebook_bits,
+        corpus_cost_bits=corpus,
+        codebook_cost_bits=codebook,
         codebook_morphs=len(counts),
-        relative_codebook_cost=cost.codebook_bits / total if total else 0.0,
+        relative_codebook_cost=codebook / total if total else 0.0,
         alignment_distance_bits=(
             evaluation.alignment_distance_bits if evaluation else None
         ),

@@ -4,6 +4,9 @@ import logging
 import math
 import os
 import random
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -273,6 +276,24 @@ def test_segment_to_file_roundtrips(workdir):
     )
     seg = io.load_segmentation(out_path)
     assert set(seg) == {"times", "walked"}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX only")
+def test_segment_into_a_closed_pipe_ends_quietly(workdir):
+    model = workdir / "ml.model"
+    _train(workdir, "seq-ml", model, ["--iterations", "1"])
+    words = workdir / "words.txt"
+    # far more output than a pipe buffers, so writing outlives the reader
+    words.write_text("walked\ntimes\n" * 50000, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "morphseg.cli", "segment"]
+    argv += ["--model", str(model), "--words", str(words)]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"morphseg-seg v1\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert stderr == b""
 
 
 def test_segment_with_ml_model_keeps_uncoverable_words_whole(workdir, capsys):

@@ -11,7 +11,7 @@ from conftest import logged_args
 from morphseg import io, synth
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, NotTrainedError
-from morphseg.mdl import ChunkStore, train_online
+from morphseg.mdl import ChunkStore, cost_bits, train_online
 
 
 def test_single_letter_word():
@@ -106,12 +106,22 @@ def test_negative_dreaming_settings_are_rejected(tiny_corpus, field):
 
 def test_tracked_cost_matches_scratch(tiny_corpus):
     store = train_online(tiny_corpus, dream_interval=0)
-    scratch = store.total_cost()
-    assert store.tracked_cost == pytest.approx(scratch.total_bits, rel=1e-9)
-    assert scratch.corpus_bits >= 0.0
-    assert scratch.codebook_bits == 5.0 * sum(
-        len(c.text) for c in store.chunks.values() if c.split == 0
-    )
+    corpus, codebook = cost_bits(dict(store.iter_morphs()), store.char_bits)
+    assert store.tracked_cost == pytest.approx(corpus + codebook, rel=1e-9)
+    assert corpus >= 0.0
+    assert codebook == 5.0 * sum(len(c.text) for c in store.chunks.values() if c.split == 0)
+
+
+@given(
+    st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=5), st.integers(1, 10**6)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_cost_bits_does_not_depend_on_insertion_order(counts, rng):
+    # fsum is correctly rounded, so the same count table gives the same floats
+    items = list(counts.items())
+    rng.shuffle(items)
+    assert cost_bits(dict(items), 5) == cost_bits(counts, 5)
 
 
 def test_codebook_accessors(tiny_corpus):

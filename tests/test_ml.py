@@ -12,6 +12,7 @@ from conftest import logged_args
 from morphseg import io, ml, synth
 from morphseg.corpus import Corpus
 from morphseg.errors import MorphsegError, UnsegmentableError
+from morphseg.mdl import cost_bits
 from morphseg.ml import (
     MorphStats,
     poisson,
@@ -239,7 +240,7 @@ def test_morph_stats_from_segmentation():
     assert stats.total == 7
     assert stats.type_usage == {"a": 1, "ab": 2}
     expected = 2 * math.log2(7 / 2) + 5 * math.log2(7 / 5)
-    assert stats.corpus_bits() == pytest.approx(expected, rel=1e-12)
+    assert cost_bits(stats.counts, 0)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def _assert_prices_exact(stats):
@@ -286,7 +287,8 @@ def test_training_decisions_are_pinned(tmp_path):
 
 def test_ml_cost():
     corpus = Corpus.from_tokens(["ab", "ab"])
-    assert MorphStats.from_segmentation({"ab": ["a", "b"]}, corpus.type_counts).corpus_bits() == 4.0
+    stats = MorphStats.from_segmentation({"ab": ["a", "b"]}, corpus.type_counts)
+    assert cost_bits(stats.counts, 0)[0] == 4.0
     with pytest.raises(MorphsegError):
         MorphStats.from_segmentation({}, corpus.type_counts)
 
@@ -351,7 +353,7 @@ def test_train_em_estimates_stats_once_per_iteration_plus_once(caplog, monkeypat
     assert stats is built[-1]
     # each iteration logs the stats of the segmentation it produced
     logged = [(morphs, bits) for _, morphs, bits, _ in logged_args(caplog, "morphseg.ml")]
-    assert logged == [(len(s.counts), s.corpus_bits()) for s in built[1:]]
+    assert logged == [(len(s.counts), cost_bits(s.counts, 0)[0]) for s in built[1:]]
 
 
 def test_train_em_logs_rejections(caplog, monkeypatch):

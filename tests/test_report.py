@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphseg.align import EvalResult
-from morphseg.mdl import ChunkStore
+from morphseg.mdl import ChunkStore, cost_bits
 from morphseg.ml import MorphStats
 from morphseg.report import (
     ML_FOOTNOTE,
@@ -48,7 +48,7 @@ def test_ml_codebook_priced_like_the_mdl_one():
     stats = MorphStats({"talo": 10, "ja": 5}, 15, {})
     report = build_report(stats, char_bits=4)
     assert report.codebook_cost_bits == 4.0 * 6
-    assert report.corpus_cost_bits == pytest.approx(stats.corpus_bits())
+    assert report.corpus_cost_bits == pytest.approx(cost_bits(stats.counts, 4)[0])
 
 
 def test_build_report_rejects_unknown_models():
