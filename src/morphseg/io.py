@@ -189,6 +189,8 @@ def load_mdl_model(path):
         return text, Chunk(text, count, split)
 
     chunks = _table(path, records, "chunk", parse)
+    if not chunks:
+        raise ModelFormatError("%s: no chunk records" % (path,))
     try:
         return ChunkStore.from_chunks(chunks, char_bits)
     except MorphsegError as exc:
@@ -207,6 +209,8 @@ def load_ml_model(path):
     except (KeyError, ValueError):
         raise ModelFormatError("%s: missing or bad total" % (path,)) from None
     counts = _table(path, records, "morph", _count)
+    if not counts:
+        raise ModelFormatError("%s: no morph records" % (path,))
     if sum(counts.values()) != total:
         raise ModelFormatError("%s: counts sum to %d, header says %d" % (path, sum(counts.values()), total))
     # per-type usage is not part of the interchange format; loaded models

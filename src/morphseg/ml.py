@@ -123,39 +123,35 @@ def random_segment(word, rng, mean_interval=DEFAULT_INTERVAL_MEAN):
 def viterbi_segment(word, stats):
     """Cheapest segmentation of a word into known morphs.
 
-    Returns (morphs, cost in bits). Segmentations are ordered by the exact
-    integer sum of their morphs' stats.price, then by fewer morphs, then by
-    the lexicographically smallest boundary tuple: a total order, so forward
-    relaxation (at most len(word) * stats.longest price lookups) finds the
-    same minimum in any visiting order. The returned cost is the left-to-right
-    float sum of the chosen morphs' prices in bits. Raises UnsegmentableError
-    when no concatenation of known morphs yields the word.
+    Returns (morphs, cost), the cost the left-to-right float sum of the morphs'
+    prices in bits. Segmentations are ordered by the exact integer sum of their
+    morphs' stats.price, then by fewer morphs, then by the lexicographically
+    smallest boundary tuple, so the best one is its first morph followed by the
+    best of the rest: a DP over suffixes keeps the least (price sum, morph
+    count, first morph's end) of each, in at most len(word) * stats.longest
+    lookups. Raises UnsegmentableError if no known morphs make up the word.
     """
     if not word:
         raise ValueError("cannot segment an empty word")
     price = stats.price
     n = len(word)
-    # state per prefix length: the smallest (price sum, morph count, boundary tuple)
-    best = [None] * (n + 1)
-    best[0] = (0, 0, ())
+    best = [None] * n + [(0, 0, n)]
     longest = stats.longest  # no longer substring can be a known morph
-    for start in range(n):
-        if best[start] is None:
-            continue
-        units, count, bounds = best[start]
-        count += 1
-        if start:
-            bounds += (start,)  # built once, shared by every end
+    for start in range(n - 1, -1, -1):
+        here = None
         last = start + longest if start + longest < n else n  # not min(): a call per start
         for end in range(start + 1, last + 1):
             p = price.get(word[start:end])
-            if p is not None:
-                cand = (units + p, count, bounds)
-                if best[end] is None or cand < best[end]:
-                    best[end] = cand
-    if best[n] is None:
+            if p is not None and (tail := best[end]) is not None:
+                cand = (p + tail[0], tail[1] + 1, end)
+                if here is None or cand < here:
+                    here = cand
+        best[start] = here
+    if best[0] is None:
         raise UnsegmentableError("no known morphs cover %r" % (word,))
-    edges = (0,) + best[n][2] + (n,)
+    edges = [0]
+    while edges[-1] < n:
+        edges.append(best[edges[-1]][2])
     morphs = [word[i:j] for i, j in zip(edges, edges[1:])]
     cost = 0.0
     for m in morphs:

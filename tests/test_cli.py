@@ -432,12 +432,18 @@ def test_segment_rejects_non_model_files(workdir, capsys):
     io.write_cost_curve([(2000, 9.5)], curve)
     bare = workdir / "bare.model"  # a model header without its version
     bare.write_text("morphseg-mdl\n", encoding="utf-8")
+    no_chunks = workdir / "no_chunks.model"  # headers alone; train never writes either
+    no_chunks.write_text("morphseg-mdl v1 char_bits=5\n", encoding="utf-8")
+    no_morphs = workdir / "no_morphs.model"
+    no_morphs.write_text("morphseg-ml v1 total=0\n", encoding="utf-8")
     out = workdir / "out.tsv"
     for model, message in [
         (seg_file, "%s: not a model file" % seg_file),
         (empty, "%s: not a model file" % empty),
         (curve, "%s: not a model file (header %r)" % (curve, io.CURVE_HEADER)),
         (bare, "%s: unsupported morphseg-mdl version 'morphseg-mdl'" % bare),
+        (no_chunks, "%s: no chunk records" % no_chunks),
+        (no_morphs, "%s: no morph records" % no_morphs),
     ]:
         argv = ["segment", "--model", str(model), "--words", str(words), "--out", str(out)]
         assert main(argv) == 3

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,23 @@ def test_viterbi_tie_prefers_smallest_boundaries():
     morphs, cost = viterbi_segment("aaa", stats)
     assert morphs == ["a", "aa"]
     assert cost == 2.0
+
+
+@pytest.mark.parametrize("n, first", [(10000, ["a"]), (10001, ["aa"])])
+def test_viterbi_long_word_of_ties_in_small_memory(n, first):
+    # every morph costs log2(3) bits, so the fewest morphs win, and of those
+    # the one with the smallest first boundary; deciding those ties must not
+    # cost memory quadratic in the word's length
+    stats = MorphStats({"a": 1, "aa": 1, "aaa": 1}, 3, {})
+    tracemalloc.start()
+    try:
+        morphs, cost = viterbi_segment("a" * n, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert morphs == first + ["aaa"] * 3333
+    assert cost == pytest.approx(3334 * math.log2(3))
+    assert peak < 10 * 2**20
 
 
 def test_viterbi_unsegmentable():
