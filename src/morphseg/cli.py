@@ -47,13 +47,6 @@ def _add_method_options(p):
     )
     p.add_argument("--iterations", type=int, default=ml.ITERATIONS, help="EM iterations for seq-ml")
     p.add_argument(
-        "--lambda",
-        dest="interval_mean",
-        type=float,
-        default=ml.DEFAULT_INTERVAL_MEAN,
-        help="mean random segment length for seq-ml",
-    )
-    p.add_argument(
         "--no-reject", action="store_true",
         help="disable segmentation rejection and random fallback in seq-ml",
     )
@@ -126,7 +119,6 @@ def _checked_options(args):
             "alphabet has %d characters; %d bits per character can code only %d"
             % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)
         )
-    ml.check_interval_mean(args.interval_mean)
     if args.iterations < 1:
         raise ValueError("need at least one seq-ml iteration")
     return pre
@@ -172,11 +164,7 @@ def _train(method, args, corpus):
         )
     else:
         segmentation, model = ml.train_em(
-            corpus,
-            iterations=args.iterations,
-            rng=rng,
-            mean_interval=args.interval_mean,
-            use_rejection=not args.no_reject,
+            corpus, iterations=args.iterations, rng=rng, use_rejection=not args.no_reject
         )
     seconds = time.perf_counter() - start
     # the cost on the scale of compare's report: corpus plus codebook bits

@@ -211,11 +211,12 @@ def load_ml_model(path):
     counts = _table(path, records, "morph", _count)
     if not counts:
         raise ModelFormatError("%s: no morph records" % (path,))
-    if sum(counts.values()) != total:
-        raise ModelFormatError("%s: counts sum to %d, header says %d" % (path, sum(counts.values()), total))
     # per-type usage is not part of the interchange format; loaded models
     # serve segmentation, training rebuilds usage from scratch
-    return MorphStats(counts, total, {})
+    stats = MorphStats(counts)
+    if stats.total != total:
+        raise ModelFormatError("%s: counts sum to %d, header says %d" % (path, stats.total, total))
+    return stats
 
 
 # -- segmentations -------------------------------------------------------

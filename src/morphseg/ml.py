@@ -12,43 +12,43 @@ import dataclasses
 import logging
 import math
 import random
-import sys
 
 from .errors import UnsegmentableError, MorphsegError
 from .mdl import DEFAULT_SEED, cost_bits
 
 _logger = logging.getLogger(__name__)
 
-DEFAULT_INTERVAL_MEAN = 5.5
-MIN_INTERVAL_MEAN = 0.01
+INTERVAL_MEAN = 5.5  # mean random segment length
 ITERATIONS = 10  # Viterbi-EM iterations
+
+_P_ZERO = math.exp(-INTERVAL_MEAN)  # Poisson(INTERVAL_MEAN) chance of 0
 
 
 @dataclasses.dataclass
 class MorphStats:
     """Token-weighted morph counts plus per-type usage tallies.
 
-    counts: morph -> number of morph tokens across the corpus.
-    total: sum of counts.
+    counts: morph -> number of morph tokens across the corpus, each positive.
     type_usage: morph -> number of distinct word types using it.
-    longest: length of the longest morph, set from counts at construction.
+    total: sum of counts, set from counts at construction.
+    longest: length of the longest morph, set likewise.
     price: morph -> its cost log2(total / count) as an exact integer number of
         2**-104 bits, set likewise, so that sums of prices compare exactly.
     """
 
     counts: dict
-    total: int
-    type_usage: dict
+    type_usage: dict = dataclasses.field(default_factory=dict)
+    total: int = dataclasses.field(init=False)
     longest: int = dataclasses.field(init=False)
     price: dict = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
+        self.total = total = sum(self.counts.values())
         self.longest = max(map(len, self.counts), default=0)
-        total = self.total
-        # every count c is at most total (from_segmentation and load_ml_model
-        # sum the counts into it), so total / c is 1.0 or at least 1 + 2**-52
-        # and the float log2 is 0.0 or above 2**-52: a whole multiple of
-        # 2**-104 with at most 53 significant bits, scaled here without loss
+        # every count c is at most total, their sum, so total / c is 1.0 or
+        # at least 1 + 2**-52 and the float log2 is 0.0 or above 2**-52: a
+        # whole multiple of 2**-104 with at most 53 significant bits, scaled
+        # here without loss
         self.price = {m: int(math.log2(total / c) * 2.0**104) for m, c in self.counts.items()}
 
     @classmethod
@@ -63,43 +63,27 @@ class MorphStats:
                 counts[m] = counts.get(m, 0) + n
             for m in set(morphs):
                 usage[m] = usage.get(m, 0) + 1
-        return cls(counts, sum(counts.values()), usage)
+        return cls(counts, usage)
 
 
-def check_interval_mean(lam):
-    """exp(-lam), or ValueError unless lam is a usable Poisson mean.
+def poisson(rng):
+    """One Poisson(INTERVAL_MEAN) draw by CDF inversion from the given generator.
 
-    lam must be at least MIN_INTERVAL_MEAN, so that a draw is non-zero with
-    chance 1 - exp(-lam), about 1% or more, and random_segment redraws zeros
-    about 100 times at most on average (below it exp(-lam) rounds toward 1.0
-    and the redraw never ends). It must also be small enough (about 708 at
-    most) that exp(-lam) is a normal float, or the inversion loop of poisson
-    never ends.
+    The float CDF reaches 1 - 2**-53, the largest rng.random(), so the
+    inversion ends, by k = 34 at the latest.
     """
-    p = math.exp(-lam) if lam >= MIN_INTERVAL_MEAN else 0.0
-    if p < sys.float_info.min:
-        raise ValueError(
-            "lambda must be at least %g with exp(-lambda) a normal float, got %r"
-            % (MIN_INTERVAL_MEAN, lam)
-        )
-    return p
-
-
-def poisson(rng, lam):
-    """One Poisson draw by CDF inversion from the given generator."""
-    p = check_interval_mean(lam)
     u = rng.random()
-    cum = p
+    p = cum = _P_ZERO
     k = 0
     while u > cum:
         k += 1
-        p *= lam / k
+        p *= INTERVAL_MEAN / k
         cum += p
     return k
 
 
-def random_segment(word, rng, mean_interval=DEFAULT_INTERVAL_MEAN):
-    """Split a word at random intervals drawn from Poisson(mean_interval).
+def random_segment(word, rng):
+    """Split a word at random intervals drawn from Poisson(INTERVAL_MEAN).
 
     Zero draws are redrawn; an interval reaching the end of the word stops
     the splitting, so every morph is non-empty.
@@ -110,9 +94,9 @@ def random_segment(word, rng, mean_interval=DEFAULT_INTERVAL_MEAN):
     pos = 0
     n = len(word)
     while True:
-        k = poisson(rng, mean_interval)
+        k = poisson(rng)
         while k == 0:
-            k = poisson(rng, mean_interval)
+            k = poisson(rng)
         if k >= n - pos:
             morphs.append(word[pos:])
             return morphs
@@ -174,13 +158,7 @@ def reject(morphs, prev_type_usage):
     return None
 
 
-def train_em(
-    corpus,
-    iterations=ITERATIONS,
-    rng=None,
-    mean_interval=DEFAULT_INTERVAL_MEAN,
-    use_rejection=True,
-):
+def train_em(corpus, iterations=ITERATIONS, rng=None, use_rejection=True):
     """Segment all corpus word types by iterated Viterbi re-estimation.
 
     Returns (segmentation dict, MorphStats of the final segmentation).
@@ -193,9 +171,7 @@ def train_em(
     if iterations < 1:
         raise ValueError("need at least one iteration")
     rng = rng or random.Random(DEFAULT_SEED)
-    segmentation = {
-        word: random_segment(word, rng, mean_interval) for word in corpus.type_counts
-    }
+    segmentation = {word: random_segment(word, rng) for word in corpus.type_counts}
     stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
     for it in range(iterations):
         final = it == iterations - 1
@@ -208,7 +184,7 @@ def train_em(
             if use_rejection and not final:
                 reason = reject(morphs, stats.type_usage)
                 if reason:
-                    morphs = random_segment(word, rng, mean_interval)
+                    morphs = random_segment(word, rng)
                     rejected += 1
             resegmented[word] = morphs
         segmentation = resegmented

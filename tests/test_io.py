@@ -152,7 +152,7 @@ def test_mdl_roundtrip_property(words):
 
 def test_ml_roundtrip(tmp_path):
     path = tmp_path / "m.model"
-    stats = MorphStats({"ab": 3, "c": 2}, 5, {"ab": 2, "c": 1})
+    stats = MorphStats({"ab": 3, "c": 2}, {"ab": 2, "c": 1})
     io.save_ml_model(stats, path)
     loaded = io.load_ml_model(path)
     assert loaded.counts == stats.counts
@@ -332,7 +332,7 @@ def test_sniff_format(tmp_path, tiny_corpus):
     mdl_path = tmp_path / "a.model"
     ml_path = tmp_path / "b.model"
     io.save_mdl_model(train_online(tiny_corpus, dream_interval=0), mdl_path)
-    io.save_ml_model(MorphStats({"a": 1}, 1, {}), ml_path)
+    io.save_ml_model(MorphStats({"a": 1}), ml_path)
     assert io.sniff_format(mdl_path) == "morphseg-mdl"
     assert io.sniff_format(ml_path) == "morphseg-ml"
 
@@ -342,7 +342,7 @@ def test_save_model_and_load_model_round_trip_either_kind(tmp_path, tiny_corpus,
     if kind == "mdl":
         model, save = train_online(tiny_corpus, dream_interval=4), io.save_mdl_model
     else:
-        model, save = MorphStats({"cat": 2, "s": 3}, 5, {"cat": 1, "s": 2}), io.save_ml_model
+        model, save = MorphStats({"cat": 2, "s": 3}, {"cat": 1, "s": 2}), io.save_ml_model
     io.save_model(model, tmp_path / "any.model")
     save(model, tmp_path / "own.model")
     assert (tmp_path / "any.model").read_bytes() == (tmp_path / "own.model").read_bytes()
@@ -371,7 +371,7 @@ _HEADED_FILES = {
         io.load_mdl_model,
         lambda corpus: train_online(corpus, dream_interval=4),
     ),
-    "ml": (io.save_ml_model, io.load_ml_model, lambda corpus: MorphStats({"cat": 2, "s": 1}, 3, {})),
+    "ml": (io.save_ml_model, io.load_ml_model, lambda corpus: MorphStats({"cat": 2, "s": 1})),
     "seg": (
         io.save_segmentation,
         io.load_segmentation,

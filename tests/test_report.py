@@ -34,7 +34,7 @@ def test_single_leaf_store_report():
 def test_relative_codebook_cost_is_a_share_of_the_total():
     # 9 corpus bits + 1 codebook bit -> 0.10
     assert 1.0 / (9.0 + 1.0) == 0.10
-    stats = MorphStats({"ab": 2, "c": 2}, 4, {})
+    stats = MorphStats({"ab": 2, "c": 2})
     report = build_report(stats, char_bits=5)
     assert report.corpus_cost_bits == 4.0
     assert report.codebook_cost_bits == 15.0
@@ -45,7 +45,7 @@ def test_relative_codebook_cost_is_a_share_of_the_total():
 
 
 def test_ml_codebook_priced_like_the_mdl_one():
-    stats = MorphStats({"talo": 10, "ja": 5}, 15, {})
+    stats = MorphStats({"talo": 10, "ja": 5})
     report = build_report(stats, char_bits=4)
     assert report.codebook_cost_bits == 4.0 * 6
     assert report.corpus_cost_bits == pytest.approx(cost_bits(stats.counts, 4)[0])
@@ -90,7 +90,7 @@ def test_metrics_roundtrip_is_lossless(tmp_path):
     evaluation = EvalResult(768000.125, 23.640000000000001, 99, 7, {})
     reports = [
         build_report(store, evaluation=evaluation),
-        build_report(MorphStats({"a": 3, "b": 1}, 4, {}), char_bits=5),
+        build_report(MorphStats({"a": 3, "b": 1}), char_bits=5),
     ]
     write_metrics(reports, path)
     loaded = read_metrics(path)
@@ -121,7 +121,7 @@ def test_format_comparison_table():
     store = ChunkStore()
     for w in ["cats", "cats", "dogs"]:
         store.process_word(w)
-    stats = MorphStats({"cat": 2, "s": 3, "dog": 1}, 6, {})
+    stats = MorphStats({"cat": 2, "s": 3, "dog": 1})
     mdl_eval = EvalResult(10.0, 5.0, 20, 1, {})
     reports = [
         build_report(store, evaluation=mdl_eval),
@@ -158,7 +158,7 @@ def test_format_comparison_without_footnote_or_eval():
 )
 @settings(max_examples=60, deadline=None)
 def test_relative_codebook_cost_is_a_fraction(counts):
-    stats = MorphStats(counts, sum(counts.values()), {})
+    stats = MorphStats(counts)
     report = build_report(stats)
     assert 0.0 <= report.relative_codebook_cost <= 1.0
     assert report.total_cost_bits == pytest.approx(
