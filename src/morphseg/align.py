@@ -21,9 +21,9 @@ _logger = logging.getLogger(__name__)
 
 _log2 = math.log2
 
-DEFAULT_EXTRA_DISTANCE = 10.0
-DEFAULT_EM_ITERS = 10
-DEFAULT_EM_TOL = 1e-4
+EXTRA_DISTANCE = 10.0
+EM_ITERATIONS = 10
+EM_TOL = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,28 +188,12 @@ def _tally(pair_counts, morphs, labels, pairs, weight):
         pair_counts[pair] += weight
 
 
-def check_max_distance(max_distance):
-    """ValueError unless max_distance is None (derive it) or finite and non-negative."""
-    if max_distance is not None and not 0.0 <= max_distance < math.inf:  # also false for nan
-        raise ValueError("max distance must be finite and non-negative, got %r" % (max_distance,))
-
-
-def _build_table(pair_counts, morph_counts, max_distance):
+def _build_table(pair_counts, morph_counts):
     distances = {}
     for (morph, label), c in pair_counts.items():
         c_m = morph_counts[morph]
         distances[(morph, label)] = 0.0 if c == c_m else _log2(c_m / c)
-    observed = max(distances.values(), default=0.0)
-    if max_distance is None:
-        d_max = observed + DEFAULT_EXTRA_DISTANCE
-    else:
-        if max_distance < observed:
-            raise MorphsegError(
-                "max distance %.3f is below the largest observed distance %.3f"
-                % (max_distance, observed)
-            )
-        d_max = max_distance
-    return DistanceTable(distances, d_max)
+    return DistanceTable(distances, max(distances.values(), default=0.0) + EXTRA_DISTANCE)
 
 
 def covered_words(words, gold, what="segmented word"):
@@ -234,15 +218,15 @@ def _scored_words(segmented, gold, token_counts):
     return words
 
 
-def em_align(segmented, gold, token_counts, max_iters=DEFAULT_EM_ITERS, max_distance=None):
+def em_align(segmented, gold, token_counts):
     """Fit a DistanceTable to segmented words with reference analyses.
 
     Alternates between estimating pair distances from the current
     alignments and realigning every word under the new distances, starting
     from string-matching alignments, until the token-weighted total
-    distance improves by less than DEFAULT_EM_TOL relative or max_iters is
-    reached. Unseen pairs cost the largest fitted distance plus
-    DEFAULT_EXTRA_DISTANCE unless max_distance is given.
+    distance improves by less than EM_TOL relative or EM_ITERATIONS
+    tables have been fitted. Unseen pairs cost the largest fitted distance
+    plus EXTRA_DISTANCE.
     Alignments are not kept: each word's new alignment is tallied into the
     pair counts of the next table as soon as it is found. A word token
     containing morph M counts once toward c(M), which no realignment
@@ -250,9 +234,6 @@ def em_align(segmented, gold, token_counts, max_iters=DEFAULT_EM_ITERS, max_dist
     warning. Each realignment logs one INFO record with args (iteration,
     total bits).
     """
-    if max_iters < 1:
-        raise ValueError("need at least one iteration")
-    check_max_distance(max_distance)
     words = _scored_words(segmented, gold, token_counts)
     morph_counts = collections.Counter()
     pair_counts = collections.Counter()
@@ -262,8 +243,8 @@ def em_align(segmented, gold, token_counts, max_iters=DEFAULT_EM_ITERS, max_dist
             morph_counts[morph] += weight
         _tally(pair_counts, morphs, entry.labels, _string_match_align(morphs, entry), weight)
     prev_total = None
-    for it in range(max_iters):
-        table = _build_table(pair_counts, morph_counts, max_distance)
+    for it in range(EM_ITERATIONS):
+        table = _build_table(pair_counts, morph_counts)
         pair_counts = collections.Counter()
         terms = []  # summed by fsum, so the total does not depend on word order
         for word in words:
@@ -273,7 +254,7 @@ def em_align(segmented, gold, token_counts, max_iters=DEFAULT_EM_ITERS, max_dist
             terms.append(weight * bits)
         total = math.fsum(terms)
         _logger.info("alignment EM iteration %d: %.1f bits", it + 1, total)
-        if prev_total is not None and prev_total - total < DEFAULT_EM_TOL * max(prev_total, 1e-12):
+        if prev_total is not None and prev_total - total < EM_TOL * max(prev_total, 1e-12):
             break
         prev_total = total
     return table

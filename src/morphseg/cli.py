@@ -80,7 +80,6 @@ def build_parser():
     p_eval.add_argument("--tags", help="file of tags to keep (default: keep all)")
     p_eval.add_argument("--train-counts", help="word<TAB>count file for token weighting")
     p_eval.add_argument("--test-counts", help="word<TAB>count file for token weighting")
-    p_eval.add_argument("--max-distance", type=float, help="charge for unseen pairs")
     p_eval.add_argument("--dump-alignments", help="write per-word test alignments")
     p_eval.add_argument("--out", help="metrics output file (default stdout)")
 
@@ -90,7 +89,6 @@ def build_parser():
     p_cmp.add_argument("--test-tokens", type=int, required=True)
     p_cmp.add_argument("--gold", help="reference analyses TSV")
     p_cmp.add_argument("--tags", help="file of tags to keep")
-    p_cmp.add_argument("--max-distance", type=float)
     p_cmp.add_argument("--cost-curve", help="write the rec-mdl cost curve CSV")
     p_cmp.add_argument("--out-dir", help="write models, segmentations and report here")
     _add_method_options(p_cmp)
@@ -280,7 +278,6 @@ def _load_gold(args):
 
 
 def cmd_eval(args):
-    align.check_max_distance(args.max_distance)
     inputs = [args.train_seg, args.test_seg, args.gold, args.tags, args.train_counts, args.test_counts]
     _check_output_dirs([args.out, args.dump_alignments], inputs)
     train_seg = io.load_segmentation(args.train_seg)
@@ -288,7 +285,7 @@ def cmd_eval(args):
     gold = _load_gold(args)
     train_counts = _counts_for(train_seg, args.train_counts)
     test_counts = _counts_for(test_seg, args.test_counts)
-    table = align.em_align(train_seg, gold, train_counts, max_distance=args.max_distance)
+    table = align.em_align(train_seg, gold, train_counts)
     result = align.score_segmentation(test_seg, gold, test_counts, table)
     record = {
         "alignment_distance_bits": result.alignment_distance_bits,
@@ -330,22 +327,18 @@ def _compare_outputs(out_dir):
 
 def _compare_method(method, args, train, test, gold, files):
     """Report row of one method, its _compare_outputs files written if given;
-    its model, segmentations and evaluation die with this call, before the next method runs.
-
-    Distances are fitted before the model is saved, so a --max-distance
-    below a fitted distance fails before the method writes anything; the
-    rec-mdl cost curve is written right after its model."""
+    its model, segmentations and evaluation die with this call, before the next method runs."""
     model, train_seg, curve = _train(method, args, train)
     if method == "rec-mdl":
         train_seg = _segment_types(model, train)  # every type is known: the store is unchanged
     table = evaluation = None
     if gold:
-        table = align.em_align(train_seg, gold, train.type_counts, max_distance=args.max_distance)
+        table = align.em_align(train_seg, gold, train.type_counts)
     model_path, train_path, test_path = files or (None, None, None)
     if model_path:
         model_path.parent.mkdir(parents=True, exist_ok=True)  # made at the first write
         io.save_model(model, model_path)
-    if curve is not None:
+    if curve is not None:  # after the model, so that it may name a file in the new --out-dir
         io.write_cost_curve(curve, args.cost_curve)
     if method == "rec-mdl":
         test_seg = _segment_types(model, test)  # adapts the store to unseen words
@@ -362,9 +355,8 @@ def _compare_method(method, args, train, test, gold, files):
 
 def cmd_compare(args):
     pre = _checked_options(args)
-    align.check_max_distance(args.max_distance)
-    if not args.gold and (args.tags or args.max_distance is not None):
-        raise ValueError("--tags and --max-distance apply to the alignment, which needs --gold")
+    if not args.gold and args.tags:
+        raise ValueError("--tags applies to the alignment, which needs --gold")
     files, report_path = _compare_outputs(Path(args.out_dir)) if args.out_dir else ({}, None)
     outputs = [*sum(files.values(), []), report_path, args.cost_curve]
     _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)

@@ -105,9 +105,9 @@ def _read(path, expected_format, n_fields):
         )
     params = {}
     for part in head[2:]:
-        if "=" not in part:
+        key, eq, value = part.partition("=")
+        if not eq or key in params:
             raise ModelFormatError("%s: bad header parameter %r" % (path, part))
-        key, value = part.split("=", 1)
         params[key] = value
     return params, _records(path, lines[1:], n_fields, "\t")
 
@@ -124,10 +124,17 @@ def _table(path, records, what, parse):
     return table
 
 
+def _int(text):
+    """int(text) if text is in the %d form save_* writes, else ValueError."""
+    if str(int(text)) != text:  # int() also reads "+6", " 7", "1_000" and non-ASCII digits
+        raise ValueError(text)
+    return int(text)
+
+
 def _count(path, lineno, key, count_s):
     """A key<TAB>count record: key non-empty, count at least 1."""
     try:
-        count = int(count_s)
+        count = _int(count_s)
     except ValueError:
         raise ModelFormatError("%s line %d: non-integer count" % (path, lineno)) from None
     if not key or count < 1:
@@ -173,7 +180,7 @@ def save_mdl_model(store, path):
 def load_mdl_model(path):
     params, records = _read(path, MDL_FORMAT, 3)
     try:
-        char_bits = int(params["char_bits"])
+        char_bits = _int(params["char_bits"])
     except (KeyError, ValueError):
         char_bits = 0
     if char_bits < 1:
@@ -181,7 +188,7 @@ def load_mdl_model(path):
 
     def parse(path, lineno, text, split_s, count_s):
         try:
-            split, count = int(split_s), int(count_s)
+            split, count = _int(split_s), _int(count_s)
         except ValueError:
             raise ModelFormatError("%s line %d: non-integer field" % (path, lineno)) from None
         if not text or count < 1 or not 0 <= split < len(text):
@@ -205,7 +212,7 @@ def save_ml_model(stats, path):
 def load_ml_model(path):
     params, records = _read(path, ML_FORMAT, 2)
     try:
-        total = int(params["total"])
+        total = _int(params["total"])
     except (KeyError, ValueError):
         raise ModelFormatError("%s: missing or bad total" % (path,)) from None
     counts = _table(path, records, "morph", _count)
@@ -268,7 +275,7 @@ def read_cost_curve(path):
     out = []
     for lineno, (tokens_s, avg_s) in _records(path, lines[1:], 2, ","):
         try:
-            out.append((int(tokens_s), float(avg_s)))
+            out.append((_int(tokens_s), float(avg_s)))
         except ValueError:
             raise ModelFormatError("%s line %d: bad row" % (path, lineno)) from None
     return out

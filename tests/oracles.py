@@ -107,9 +107,7 @@ def traced_flat_cost(store):
     return corpus + store.char_bits * sum(len(m) for m in counts)
 
 
-def em_align_keeping_paths(
-    segmented, gold, token_counts, max_iters, tol, max_distance, distance_log
-):
+def em_align_keeping_paths(segmented, gold, token_counts, max_iters, tol, distance_log):
     """Alignment EM that stores every word's path and re-reads it.
 
     The plain form of align.em_align: all alignments are kept in a dict,
@@ -133,7 +131,7 @@ def em_align_keeping_paths(
                 pair_counts[pair] = pair_counts.get(pair, 0) + weight
             for morph in set(morphs):
                 morph_counts[morph] = morph_counts.get(morph, 0) + weight
-        table = align._build_table(pair_counts, morph_counts, max_distance)
+        table = align._build_table(pair_counts, morph_counts)
         terms = []
         for word in words:
             pairs, bits = align.align_word(segmented[word], gold[word].labels, table)

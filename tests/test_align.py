@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from conftest import logged_args
+from morphseg import align
 from morphseg.align import (
-    DEFAULT_EM_TOL,
     DistanceTable,
     GoldEntry,
     _common_substring_len,
@@ -289,7 +289,7 @@ def test_em_align_estimates_conditional_distances():
     assert table.distances[("s", "PL")] == pytest.approx(0.415, abs=1e-3)
     assert table.distances[("s", "GEN")] == 2.0
     assert table.distances[("cat", "CAT")] == 0.0
-    # default charge for unseen pairs: largest observed distance plus 10
+    # the charge for unseen pairs: largest observed distance plus 10
     assert table.max_distance == 12.0
     assert ("cat", "PL") not in table.distances
 
@@ -299,28 +299,8 @@ def test_em_align_zero_distance_means_exclusive_pairing():
     table = em_align(segmented, gold, counts)
     for (morph, label), d in table.distances.items():
         tokens_with_morph = [w for w in segmented if morph in segmented[w]]
-        always = all(
-            label in gold[w].labels
-            and (segmented[w].index(morph), gold[w].labels.index(label))
-            for w in tokens_with_morph
-        )
         if d == 0.0:
             assert all(label in gold[w].labels for w in tokens_with_morph)
-
-
-def test_em_align_max_distance_override():
-    segmented, gold, counts = plural_fixture()
-    table = em_align(segmented, gold, counts, max_distance=20.0)
-    assert table.max_distance == 20.0
-    with pytest.raises(MorphsegError):
-        em_align(segmented, gold, counts, max_distance=1.0)
-
-
-@pytest.mark.parametrize("max_distance", [math.nan, math.inf, -1.0])
-def test_em_align_rejects_unusable_max_distance_before_any_work(max_distance):
-    # an empty segmentation fails only later, as a data error
-    with pytest.raises(ValueError, match="max distance"):
-        em_align({}, {}, {}, max_distance=max_distance)
 
 
 def test_em_align_token_weighting():
@@ -354,12 +334,6 @@ def test_em_align_requires_token_counts():
     del counts["cats"]
     with pytest.raises(MorphsegError):
         em_align(segmented, gold, counts)
-
-
-def test_em_align_requires_an_iteration():
-    segmented, gold, counts = plural_fixture()
-    with pytest.raises(ValueError, match="iteration"):
-        em_align(segmented, gold, counts, max_iters=0)
 
 
 def _distance_log(caplog):
@@ -423,9 +397,9 @@ def test_em_align_stops_once_improvement_stalls(caplog, type_counts, seed):
     gold = parse_gold(gold_lines)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="morphseg.align"):
-        em_align(segmented, gold, type_counts, max_iters=10)
+        em_align(segmented, gold, type_counts)
     log = _distance_log(caplog)
-    assert 1 <= len(log) <= 10
+    assert 1 <= len(log) <= align.EM_ITERATIONS
     # every round but the last must have cleared the improvement threshold
     for earlier, later in zip(log[:-1], log[1:-1]):
         assert earlier - later >= 1e-4 * max(earlier, 1e-12)
@@ -457,21 +431,19 @@ def em_instances(draw):
     return segmented, parse_gold(gold_lines), counts
 
 
-@given(
-    em_instances(),
-    st.integers(min_value=1, max_value=6),
-    st.sampled_from([None, 60.0]),
-)
+@given(em_instances(), st.integers(min_value=1, max_value=6))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_em_align_equals_the_keep_every_path_oracle(caplog, instance, max_iters, max_distance):
+def test_em_align_equals_the_keep_every_path_oracle(caplog, monkeypatch, instance, iterations):
+    # a small iteration cap also covers fits that stop before converging
+    monkeypatch.setattr(align, "EM_ITERATIONS", iterations)
     segmented, gold, counts = instance
     expected_log = []
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="morphseg.align"):
-        table = em_align(segmented, gold, counts, max_iters=max_iters, max_distance=max_distance)
+        table = em_align(segmented, gold, counts)
     log = _distance_log(caplog)
     expected = oracles.em_align_keeping_paths(
-        segmented, gold, counts, max_iters, DEFAULT_EM_TOL, max_distance, expected_log
+        segmented, gold, counts, iterations, align.EM_TOL, expected_log
     )
     assert table.distances == expected.distances
     assert table.max_distance == expected.max_distance

@@ -50,6 +50,8 @@ def test_every_option_the_readme_names_is_an_option_of_some_subcommand():
     options = {o for p in subcommands.choices.values() for o in p._option_string_actions}
     # pip's --no-build-isolation and scripts/make_corpus.py's --tokens are not morphseg's
     assert named - options - {"--no-build-isolation", "--tokens"} == set()
+    # and the other way round: README documents every option, so one leaves with its docs
+    assert options - named - {"-h", "--help"} == set()
 
 
 def test_train_rec_mdl(workdir):
@@ -519,44 +521,6 @@ def test_eval_alignment_dump_is_utf8_with_lf_ends(tmp_path):
     assert dump.read_bytes() == "päivät\tpäivä:PÄIVÄ t:PL\nyöt\työ:YÖ t:PL\n".encode("utf-8")
 
 
-def test_eval_with_max_distance_override(tmp_path, capsys):
-    seg_path, gold_path = eval_fixture(tmp_path)
-    code = main(
-        [
-            "eval",
-            "--train-seg", str(seg_path),
-            "--test-seg", str(seg_path),
-            "--gold", str(gold_path),
-            "--max-distance", "25.0",
-        ]
-    )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["max_distance"] == 25.0
-
-
-def test_eval_rejects_too_small_max_distance(tmp_path, capsys):
-    seg_path, gold_path = eval_fixture(tmp_path)
-    code = main(
-        [
-            "eval",
-            "--train-seg", str(seg_path),
-            "--test-seg", str(seg_path),
-            "--gold", str(gold_path),
-            "--max-distance", "1.0",
-        ]
-    )
-    assert code == 3
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_eval_rejects_unusable_max_distance_before_reading(tmp_path, capsys, value):
-    missing = str(tmp_path / "missing.tsv")
-    argv = ["eval", "--train-seg", missing, "--test-seg", missing, "--gold", missing,
-            "--max-distance", value]
-    assert main(argv) == 2
-    assert "max distance must be finite and non-negative" in capsys.readouterr().err
-
-
 def test_eval_missing_file_is_a_data_error(tmp_path):
     seg_path, gold_path = eval_fixture(tmp_path)
     code = main(
@@ -770,7 +734,9 @@ def test_eval_test_counts_missing_a_scored_word_is_a_data_error(tmp_path, capsys
     assert "no token count for 'kings'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("records", ["cats\t1\n\t2", "cats\t0", "cats\t-1", "cats\t1\ncats\t2"])
+@pytest.mark.parametrize(
+    "records", ["cats\t1\n\t2", "cats\t0", "cats\t-1", "cats\t1\ncats\t2", "cats\t1_000"]
+)
 def test_eval_rejects_invalid_count_files(tmp_path, records):
     # every scored word has a count; only the invalid records are at fault
     seg_path, gold_path = eval_fixture(tmp_path)
@@ -950,54 +916,28 @@ def test_compare_checks_seq_ml_options_before_training(workdir, monkeypatch):
     assert not (workdir / "run").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_compare_rejects_unusable_max_distance_before_reading(workdir, capsys, value):
-    (workdir / "corpus.txt").unlink()
-    assert main(_compare_argv(workdir, "--max-distance", value)) == 2
-    assert "max distance must be finite and non-negative" in capsys.readouterr().err
-    assert not (workdir / "run").exists()
-
-
-@pytest.mark.parametrize("option", ["--tags", "--max-distance"])
-def test_compare_rejects_alignment_options_without_gold_before_reading(workdir, capsys, option):
+def test_compare_rejects_tags_without_gold_before_reading(workdir, capsys):
     (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    extra = [option, str(workdir / "tags.txt") if option == "--tags" else "3"]
     argv = ["compare", "--corpus", str(workdir / "corpus.txt"),
-            "--train-tokens", "400", "--test-tokens", "100", *extra]
+            "--train-tokens", "400", "--test-tokens", "100", "--tags", str(workdir / "tags.txt")]
     assert main(argv) == 2
     assert main(argv + ["--out-dir", str(workdir / "run")]) == 2
     assert capsys.readouterr().err.count("which needs --gold") == 2
     assert not (workdir / "run").exists()
 
 
-def test_compare_writes_nothing_before_max_distance_passes_the_fit(workdir, capsys):
-    gold = str(workdir / "gold.tsv")
-    assert main(_compare_argv(workdir, "--gold", gold, "--max-distance", "0.5")) == 3
-    assert "below the largest observed distance" in capsys.readouterr().err
-    assert not (workdir / "run").exists()
-
-
-def test_compare_writes_the_cost_curve_into_the_out_dir_it_makes(workdir, capsys):
+def test_compare_writes_the_cost_curve_into_the_out_dir_it_makes(workdir):
     common = ["--corpus", str(workdir / "corpus.txt"), "--train-tokens", "900",
               "--dream-interval", "400", "--iterations", "2"]
     train_curve = workdir / "train_curve.csv"
     argv = ["train", "--method", "rec-mdl", "--model", str(workdir / "m"),
             "--cost-curve", str(train_curve)]
     assert main(argv + common) == 0
-    for out_dir, extra, code in [
-        (workdir / "run", [], 0),
-        # a fit that fails leaves neither the directory nor the curve in it
-        (workdir / "failed", ["--gold", str(workdir / "gold.tsv"), "--max-distance", "0.5"], 3),
-    ]:
-        curve = out_dir / "curve.csv"
-        argv = ["compare", "--test-tokens", "300", "--out-dir", str(out_dir),
-                "--cost-curve", str(curve)]
-        assert main(argv + common + extra) == code
-        if code == 0:
-            assert curve.read_bytes() == train_curve.read_bytes()
-        else:
-            assert "below the largest observed distance" in capsys.readouterr().err
-            assert not out_dir.exists()
+    curve = workdir / "run" / "curve.csv"
+    argv = ["compare", "--test-tokens", "300", "--out-dir", str(workdir / "run"),
+            "--cost-curve", str(curve)]
+    assert main(argv + common) == 0
+    assert curve.read_bytes() == train_curve.read_bytes()
 
 
 def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys, monkeypatch):
@@ -1251,6 +1191,22 @@ def test_seq_ml_has_no_lambda_option(workdir, capsys):
             main(argv + ["--lambda", "5.5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --lambda 5.5" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_alignment_fit_has_no_max_distance_option(workdir, capsys, command):
+    # unseen pairs cost the largest fitted distance plus align.EXTRA_DISTANCE
+    (workdir / "corpus.txt").unlink()  # an exit 3 would mean an input was read
+    missing = workdir / "missing.tsv"
+    argv = {
+        "eval": _eval_argv(missing, missing, "--out", str(workdir / "metrics.json")),
+        "compare": _compare_argv(workdir, "--gold", str(workdir / "gold.tsv")),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-distance", "25"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-distance 25" in capsys.readouterr().err
     assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
 
 

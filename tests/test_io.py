@@ -299,6 +299,57 @@ def test_cost_curve_rejects_malformed_rows(tmp_path, row):
         io.read_cost_curve(path)
 
 
+# forms int() reads that "%d" never writes: an underscore, a sign, blanks,
+# a leading zero, a negative zero and non-ASCII digits
+_NOT_D_FORMS = ["1_000", "+6", " 7", "7 ", "07", "-0", "\u0665"]
+
+
+@pytest.mark.parametrize("form", _NOT_D_FORMS)
+@pytest.mark.parametrize(
+    "load, lines, message",
+    [
+        (io.load_word_counts, ["morphseg-counts v1", "cats\t%s"], "line 2: non-integer count"),
+        (io.load_ml_model, ["morphseg-ml v1 total=5", "a\t%s"], "line 2: non-integer count"),
+        (io.load_mdl_model, ["morphseg-mdl v1 char_bits=5", "a\t0\t%s"], "line 2: non-integer field"),
+        (io.load_mdl_model, ["morphseg-mdl v1 char_bits=5", "a\t%s\t1"], "line 2: non-integer field"),
+        (io.read_cost_curve, ["tokens_processed,avg_word_cost_bits", "%s,2.5"], "line 2: bad row"),
+    ],
+    ids=["counts", "ml-count", "mdl-count", "mdl-split", "curve-tokens"],
+)
+def test_loaders_read_integer_fields_only_as_save_writes_them(tmp_path, load, lines, message, form):
+    path = tmp_path / "f"
+    _write_lines(path, [lines[0], lines[1] % form])
+    with pytest.raises(ModelFormatError, match=message):
+        load(path)
+
+
+@pytest.mark.parametrize("value", ["+5", "0_5", "05", "\u0665"])
+def test_model_headers_read_integers_only_as_save_writes_them(tmp_path, value):
+    path = tmp_path / "m.model"
+    _write_lines(path, ["morphseg-mdl v1 char_bits=" + value, "a\t0\t1"])
+    with pytest.raises(ModelFormatError, match="missing or bad char_bits"):
+        io.load_mdl_model(path)
+    _write_lines(path, ["morphseg-ml v1 total=" + value, "a\t5"])
+    with pytest.raises(ModelFormatError, match="missing or bad total"):
+        io.load_ml_model(path)
+
+
+@pytest.mark.parametrize(
+    "lines, load",
+    [
+        (["morphseg-mdl v1 char_bits=5 char_bits=6", "a\t0\t1"], io.load_mdl_model),
+        (["morphseg-ml v1 total=1 total=1", "a\t1"], io.load_ml_model),
+    ],
+    ids=["mdl", "ml"],
+)
+def test_model_headers_reject_a_repeated_key(tmp_path, lines, load):
+    path = tmp_path / "m.model"
+    _write_lines(path, lines)
+    repeated = lines[0].rsplit(" ", 1)[1]
+    with pytest.raises(ModelFormatError, match="bad header parameter '%s'" % repeated):
+        load(path)
+
+
 def test_write_records_without_a_path_writes_to_stdout(capsys):
     io.write_records(None, ["morphseg-seg", "v1"], iter(["päivät\tpäivä t"]))
     assert capsys.readouterr().out == "morphseg-seg v1\npäivät\tpäivä t\n"
