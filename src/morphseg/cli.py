@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import align, io, mdl, ml, report
-from .corpus import ALPHABETS, PreprocessConfig, read_corpus, split_corpus
+from .corpus import ALPHABETS, read_corpus, split_corpus
 from .errors import MorphsegError, NotTrainedError, UnsegmentableError
 from .mdl import ChunkStore
 from .ml import MorphStats
@@ -33,7 +33,6 @@ def _add_corpus_options(p):
         default="english",
         help="preset (english, finnish) or explicit character set",
     )
-    p.add_argument("--no-lowercase", action="store_true", help="keep original case")
 
 
 def _add_method_options(p):
@@ -71,7 +70,6 @@ def build_parser():
     p_seg.add_argument("--model", required=True)
     p_seg.add_argument("--words", required=True, help="one word per line")
     p_seg.add_argument("--out", help="output file (default stdout)")
-    p_seg.add_argument("--no-lowercase", action="store_true")
 
     p_eval = sub.add_parser("eval", help="score segmentations against reference analyses")
     p_eval.add_argument("--train-seg", required=True, help="segmentation used to fit distances")
@@ -99,27 +97,23 @@ def build_parser():
 
 
 def _checked_options(args):
-    """The preprocessing config of train's or compare's options.
+    """The alphabet of train's or compare's options.
 
     Raises ValueError for an option either method cannot use, whatever
     --method says, so that an unusable one is rejected before any input is read.
     """
     # --alphabet is a preset name or an explicit string of allowed characters
     alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
-    pre = PreprocessConfig(alphabet=alphabet, lowercase=not args.no_lowercase)
+    if not alphabet:
+        raise ValueError("alphabet must not be empty")
     if args.char_bits < 1:
         raise ValueError("char_bits must be positive")
     if args.dream_interval < 0:
         raise ValueError("dream interval must not be negative (0 disables dreaming)")
-    # --char-bits prices both codebooks; len(alphabet) > 2**k without building 2**k
-    if (len(pre.alphabet) - 1).bit_length() > args.char_bits:
-        raise ValueError(
-            "alphabet has %d characters; %d bits per character can code only %d"
-            % (len(pre.alphabet), args.char_bits, 2 ** args.char_bits)
-        )
+    mdl.check_codable("alphabet", len(alphabet), args.char_bits)  # --char-bits prices both codebooks
     if args.iterations < 1:
         raise ValueError("need at least one seq-ml iteration")
-    return pre
+    return alphabet
 
 
 def _check_output_dirs(paths, inputs, made_dir=None):
@@ -175,11 +169,11 @@ def _train(method, args, corpus):
 
 
 def cmd_train(args):
-    pre = _checked_options(args)
+    alphabet = _checked_options(args)
     if args.cost_curve and args.method == "seq-ml":
         raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     _check_output_dirs([args.model, args.cost_curve], [args.corpus])
-    corpus = read_corpus(args.corpus, pre)
+    corpus = read_corpus(args.corpus, alphabet)
     if args.train_tokens is not None:
         (corpus,) = split_corpus(corpus, args.train_tokens)
     model, _, curve = _train(args.method, args, corpus)
@@ -208,8 +202,9 @@ def _segment_with(model, word):
         return [word]
 
 
-def _read_words(path, lowercase):
-    """The stripped non-blank lines of a word list; tokens of a type share one string.
+def _read_words(path):
+    """The lowercased, stripped non-blank lines of a word list; tokens of a
+    type share one string.
 
     Raises MorphsegError, naming the line, for a word with whitespace inside
     it; each word type is checked once, when its string is first kept.
@@ -219,12 +214,10 @@ def _read_words(path, lowercase):
     blank = 0  # lines skipped so far; with len(words) it numbers the line
     with io.reading(path) as f:
         for line in f:
-            word = line.strip()
+            word = line.strip().lower()
             if not word:
                 blank += 1
                 continue
-            if lowercase:
-                word = word.lower()
             try:
                 words.append(kept[word])
             except KeyError:  # a new type
@@ -257,7 +250,7 @@ def _segment_records(model, words):
 def cmd_segment(args):
     _check_output_dirs([args.out], [args.model, args.words])
     model = io.load_model(args.model)
-    words = _read_words(args.words, not args.no_lowercase)
+    words = _read_words(args.words)
     io.write_records(args.out, [io.SEG_FORMAT, io.VERSION], _segment_records(model, words))
     return 0
 
@@ -354,13 +347,13 @@ def _compare_method(method, args, train, test, gold, files):
 
 
 def cmd_compare(args):
-    pre = _checked_options(args)
+    alphabet = _checked_options(args)
     if not args.gold and args.tags:
         raise ValueError("--tags applies to the alignment, which needs --gold")
     files, report_path = _compare_outputs(Path(args.out_dir)) if args.out_dir else ({}, None)
     outputs = [*sum(files.values(), []), report_path, args.cost_curve]
     _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)
-    train, test = split_corpus(read_corpus(args.corpus, pre), args.train_tokens, args.test_tokens)
+    train, test = split_corpus(read_corpus(args.corpus, alphabet), args.train_tokens, args.test_tokens)
 
     gold = _load_gold(args) if args.gold else None
     if gold is not None:  # each side needs a word to fit or score before anything trains

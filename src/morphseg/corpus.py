@@ -1,7 +1,8 @@
 """Corpus loading and preprocessing.
 
-Tokens are whitespace-delimited. A token is kept only if every character
-belongs to the configured alphabet; otherwise the whole token is dropped.
+Text is lowercased, then split into whitespace-delimited tokens. A token is
+kept only if every character belongs to the alphabet; otherwise the whole
+token is dropped.
 """
 
 import collections
@@ -23,26 +24,6 @@ ALPHABETS = {
 
 
 @dataclasses.dataclass(frozen=True)
-class PreprocessConfig:
-    """How raw text is normalized before tokens enter a model.
-
-    alphabet: set of allowed characters; tokens containing anything else
-        are dropped entirely.
-    lowercase: lowercase the text before filtering.
-    """
-
-    alphabet: frozenset = ALPHABETS["english"]
-    lowercase: bool = True
-
-    def __post_init__(self):
-        if not self.alphabet:
-            raise ValueError("alphabet must not be empty")
-        for ch in self.alphabet:
-            if len(ch) != 1:
-                raise ValueError("alphabet entries must be single characters: %r" % (ch,))
-
-
-@dataclasses.dataclass(frozen=True)
 class Corpus:
     """An ordered token sequence plus type counts derived from it."""
 
@@ -58,22 +39,19 @@ class Corpus:
         return len(self.tokens)
 
 
-def load_corpus(lines, config=None):
-    """Tokenize an iterable of text lines into a Corpus.
+def load_corpus(lines, alphabet=ALPHABETS["english"]):
+    """Tokenize an iterable of text lines, each lowercased, into a Corpus of
+    the tokens whose characters all belong to alphabet.
 
     Raises EmptyCorpusError if no token survives filtering.
     """
-    config = config or PreprocessConfig()
-    alphabet = config.alphabet
     # type -> the one string its tokens share, or None if the type is dropped;
     # the alphabet check runs once per type
     kept = {}
     tokens = []
     dropped = 0
     for line in lines:
-        if config.lowercase:
-            line = line.lower()
-        for token in line.split():
+        for token in line.lower().split():
             try:
                 token = kept[token]
             except KeyError:
@@ -89,10 +67,10 @@ def load_corpus(lines, config=None):
     return Corpus.from_tokens(tokens)
 
 
-def read_corpus(path, config=None):
+def read_corpus(path, alphabet=ALPHABETS["english"]):
     """load_corpus over the text file at path."""
     with io.reading(path) as f:
-        return load_corpus(f, config)
+        return load_corpus(f, alphabet)
 
 
 def split_corpus(corpus, *sizes):

@@ -14,10 +14,11 @@ reads through ``reading``.
 
 import contextlib
 import itertools
+import math
 import sys
 
 from .errors import ModelFormatError, MorphsegError
-from .mdl import ChunkStore, Chunk
+from .mdl import ChunkStore, Chunk, check_codable
 from .ml import MorphStats
 
 MDL_FORMAT = "morphseg-mdl"
@@ -131,6 +132,14 @@ def _int(text):
     return int(text)
 
 
+def _float(text):
+    """float(text) if text is finite and in the repr form write_cost_curve writes, else ValueError."""
+    value = float(text)
+    if not math.isfinite(value) or repr(value) != text:  # float() also reads "nan", "1e400", "2_5.0"
+        raise ValueError(text)
+    return value
+
+
 def _count(path, lineno, key, count_s):
     """A key<TAB>count record: key non-empty, count at least 1."""
     try:
@@ -199,8 +208,9 @@ def load_mdl_model(path):
     if not chunks:
         raise ModelFormatError("%s: no chunk records" % (path,))
     try:
+        check_codable("model", len(set().union(*chunks)), char_bits)
         return ChunkStore.from_chunks(chunks, char_bits)
-    except MorphsegError as exc:
+    except (MorphsegError, ValueError) as exc:
         raise ModelFormatError("%s: %s" % (path, exc)) from None
 
 
@@ -275,7 +285,7 @@ def read_cost_curve(path):
     out = []
     for lineno, (tokens_s, avg_s) in _records(path, lines[1:], 2, ","):
         try:
-            out.append((_int(tokens_s), float(avg_s)))
+            out.append((_int(tokens_s), _float(avg_s)))
         except ValueError:
             raise ModelFormatError("%s line %d: bad row" % (path, lineno)) from None
     return out

@@ -59,6 +59,17 @@ def cost_bits(counts, char_bits):
     return corpus, float(char_bits * sum(map(len, counts)))
 
 
+def check_codable(what, n_chars, char_bits):
+    """Raise ValueError, naming what, if char_bits bits per character cannot
+    code its n_chars distinct characters: n_chars > 2**char_bits, tested
+    without building 2**char_bits."""
+    if (n_chars - 1).bit_length() > char_bits:
+        raise ValueError(
+            "%s has %d characters; %d bits per character can code only %d"
+            % (what, n_chars, char_bits, 2 ** char_bits)
+        )
+
+
 class ChunkStore:
     """Hierarchical chunk model."""
 

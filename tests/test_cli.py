@@ -236,23 +236,33 @@ def test_segment_known_and_novel_words(workdir, capsys):
         assert "".join(morphs.split(" ")) == word
 
 
-def test_no_lowercase_reaches_train_and_segment(workdir, capsys):
+def test_text_is_lowercased_for_train_and_segment(workdir, capsys):
     corpus = workdir / "cased.txt"
     corpus.write_text("Cats cats\n", encoding="utf-8")
     model = workdir / "cased.model"
     words = workdir / "words.txt"
     words.write_text("Cats\n", encoding="utf-8")
-    train = ["train", "--method", "rec-mdl", "--corpus", str(corpus), "--model", str(model)]
-    segment = ["segment", "--model", str(model), "--words", str(words)]
-    # capitals are outside the english alphabet: kept, they drop their token
-    for extra, word_counts, typed in [
-        ([], {"cats": 2}, "cats"),
-        (["--no-lowercase"], {"cats": 1}, "Cats"),
-    ]:
-        assert main(train + extra) == 0
-        assert io.load_mdl_model(model).word_counts == word_counts
-        assert main(segment + extra) == 0
-        assert capsys.readouterr().out.split("\n")[1].split("\t")[0] == typed
+    # capitals are outside the english alphabet: lowercased, Cats is kept
+    assert main(["train", "--method", "rec-mdl", "--corpus", str(corpus), "--model", str(model)]) == 0
+    assert io.load_mdl_model(model).word_counts == {"cats": 2}
+    assert main(["segment", "--model", str(model), "--words", str(words)]) == 0
+    assert capsys.readouterr().out.split("\n")[1].split("\t")[0] == "cats"
+
+
+@pytest.mark.parametrize("command", ["train", "segment", "compare"])
+def test_no_subcommand_has_a_no_lowercase_option(workdir, capsys, command):
+    (workdir / "corpus.txt").unlink()  # an exit 3 would mean an input was read
+    missing = str(workdir / "missing.txt")
+    argv = {
+        "train": ["train", "--method", "rec-mdl", "--corpus", missing, "--model", str(workdir / "m")],
+        "segment": ["segment", "--model", missing, "--words", missing, "--out", str(workdir / "o")],
+        "compare": _compare_argv(workdir),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-lowercase"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-lowercase" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
 
 
 def test_segment_to_file_roundtrips(workdir):
@@ -393,7 +403,8 @@ def test_segment_rejects_whitespace_inside_a_word(workdir, capsys, method, line)
 _WORD_LINES = st.lists(
     st.tuples(
         st.sampled_from(["", " ", "\t", " \t "]),
-        st.text(alphabet="aAbB", max_size=3),
+        # Σ lowercases by context and İ to two characters: each word is str.lower() of its line
+        st.text(alphabet="aAbBΣİẞ", max_size=3),
         st.sampled_from(["", " ", "\t"]),
         st.sampled_from(["\n", "\r\n", "\r"]),
     ),
@@ -401,20 +412,20 @@ _WORD_LINES = st.lists(
 )
 
 
-@given(_WORD_LINES, st.booleans())
+@given(_WORD_LINES)
 @settings(max_examples=100, deadline=None)
-def test_read_words_matches_a_per_line_reference(lines, lowercase):
+def test_read_words_matches_a_per_line_reference(lines):
     text = "".join("".join(parts) for parts in lines)
-    expected = [word.lower() if lowercase else word for _, word, _, _ in lines if word]
+    expected = [word.lower() for _, word, _, _ in lines if word]
     fd, path = tempfile.mkstemp()
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-        words = cli._read_words(path, lowercase)
+        words = cli._read_words(path)
     finally:
         os.unlink(path)
     assert words == expected
-    # tokens of one type, case variants included when lowercasing, share one string
+    # tokens of one type, case variants included, share one string
     assert len({id(w) for w in words}) == len(set(words))
 
 
@@ -1219,6 +1230,19 @@ def test_segment_with_non_positive_char_bits_is_a_data_error(workdir, char_bits)
     code = main(["segment", "--model", str(model), "--words", str(workdir / "words.txt"),
                  "--out", str(out)])
     assert code == 3
+    assert not out.exists()
+
+
+def test_segment_with_a_model_its_char_bits_cannot_code_is_a_data_error(workdir, capsys):
+    # train would exit 2 for --char-bits 1: six characters need three bits
+    model = workdir / "m.model"
+    model.write_text("morphseg-mdl v1 char_bits=1\nabc\t0\t1\nxyz\t0\t1\n", encoding="utf-8")
+    (workdir / "words.txt").write_text("abc\n", encoding="utf-8")
+    out = workdir / "out.tsv"
+    code = main(["segment", "--model", str(model), "--words", str(workdir / "words.txt"),
+                 "--out", str(out)])
+    assert code == 3
+    assert "model has 6 characters; 1 bits per character can code only 2" in capsys.readouterr().err
     assert not out.exists()
 
 

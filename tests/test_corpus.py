@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from morphseg.corpus import (
     ALPHABETS,
     Corpus,
-    PreprocessConfig,
     load_corpus,
     read_corpus,
     split_corpus,
@@ -21,20 +20,17 @@ def test_english_preset_keeps_clitics_and_hyphens():
 
 
 def test_finnish_preset():
-    config = PreprocessConfig(alphabet=ALPHABETS["finnish"])
-    corpus = load_corpus(["linja-auto säätiö zebra9"], config)
+    corpus = load_corpus(["linja-auto säätiö zebra9"], ALPHABETS["finnish"])
     assert corpus.tokens == ("linja-auto", "säätiö")
 
 
 def test_lowercase_is_applied_before_filtering():
     corpus = load_corpus(["The Cat"])
     assert corpus.tokens == ("the", "cat")
-
-
-def test_no_lowercase_drops_capitalized_tokens():
-    config = PreprocessConfig(lowercase=False)
-    corpus = load_corpus(["The cat"], config)
-    assert corpus.tokens == ("cat",)
+    # str.lower of the line: Σ is σ inside a word and ς at its end, İ is i
+    # and a combining dot above
+    corpus = load_corpus(["ΣΑΣ İS STRAẞE"], ALPHABETS["english"] | frozenset("σας\u0307ß"))
+    assert corpus.tokens == ("σας", "i\u0307s", "straße")
 
 
 def test_token_with_any_bad_character_is_dropped_whole():
@@ -53,13 +49,6 @@ def test_type_counts():
     corpus = Corpus.from_tokens(["a", "b", "a", "a"])
     assert corpus.type_counts == {"a": 3, "b": 1}
     assert len(corpus) == 4
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PreprocessConfig(alphabet=frozenset())
-    with pytest.raises(ValueError):
-        PreprocessConfig(alphabet=frozenset({"ab"}))
 
 
 def test_split_corpus():
@@ -131,29 +120,34 @@ def test_split_preserves_order_and_counts(tokens):
     assert merged == corpus.type_counts
 
 
+# final sigma's lowercase depends on the letters around it (Σ after a letter
+# is ς), and İ lowercases to two characters, i and a combining dot above
+_CASED = "Σİẞ"
+# the english alphabet plus the lowercase forms of _CASED
+_CASED_ALPHABET = ALPHABETS["english"] | frozenset("σςß\u0307")
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.lists(
-        st.lists(st.text(alphabet="abAB9-", min_size=1, max_size=3), max_size=8),
+        st.lists(st.text(alphabet="abAB9-" + _CASED, min_size=1, max_size=3), max_size=8),
         max_size=6,
     ),
-    st.booleans(),
 )
-def test_load_corpus_shares_one_string_per_type(caplog, lines, lowercase):
+def test_load_corpus_shares_one_string_per_type(caplog, lines):
     lines = [" ".join(words) for words in lines]
-    config = PreprocessConfig(lowercase=lowercase)
     reference = []
     dropped = 0
     for line in lines:
-        for token in (line.lower() if lowercase else line).split():
-            if set(token) <= config.alphabet:
+        for token in line.lower().split():
+            if set(token) <= _CASED_ALPHABET:
                 reference.append(token)
             else:
                 dropped += 1
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="morphseg.corpus"):
         try:
-            corpus = load_corpus(lines, config)
+            corpus = load_corpus(lines, _CASED_ALPHABET)
         except EmptyCorpusError:
             assert not reference
             return

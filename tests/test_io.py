@@ -127,6 +127,32 @@ def test_mdl_load_rejects_non_positive_char_bits(tmp_path, char_bits):
         io.load_mdl_model(path)
 
 
+@pytest.mark.parametrize(
+    "char_bits, chunks, codable",
+    [
+        ("1", ["abc", "xyz"], False),  # six characters, two codes
+        ("2", ["abc", "xyz"], False),
+        ("3", ["abc", "xyz"], True),
+        ("1", ["ab", "ba"], True),  # exactly 2**1 characters
+        ("2", ["abcd", "e"], False),
+    ],
+    ids=["6-chars-1-bit", "6-chars-2-bits", "6-chars-3-bits", "2-chars-1-bit", "5-chars-2-bits"],
+)
+def test_mdl_load_rejects_characters_char_bits_cannot_code(tmp_path, char_bits, chunks, codable):
+    # the rule train applies to --char-bits and the alphabet
+    path = tmp_path / "m.model"
+    _write_lines(path, ["morphseg-mdl v1 char_bits=" + char_bits] + [c + "\t0\t1" for c in chunks])
+    if codable:
+        assert sorted(io.load_mdl_model(path).chunks) == chunks
+        return
+    n_chars = len(set("".join(chunks)))
+    message = "m.model: model has %d characters; %s bits per character can code only %d" % (
+        n_chars, char_bits, 2 ** int(char_bits)
+    )
+    with pytest.raises(ModelFormatError, match=message):
+        io.load_mdl_model(path)
+
+
 @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=6), min_size=1, max_size=20))
 @settings(max_examples=40, deadline=None)
 def test_mdl_roundtrip_property(words):
@@ -291,7 +317,12 @@ def test_cost_curve_rejects_foreign_files(tmp_path):
         io.read_cost_curve(path)
 
 
-@pytest.mark.parametrize("row", ["2000,1.5,7", "x,1.5", "2000,fast"])
+# float() reads each of the last five averages (as 25.0, nan, -inf, inf and
+# 2.5), but write_cost_curve writes only finite values in repr form
+@pytest.mark.parametrize(
+    "row",
+    ["2000,1.5,7", "x,1.5", "2000,fast", "2000, 2_5.0", "2000,nan", "2000,-inf", "2000,1e400", "2000,2.50"],
+)
 def test_cost_curve_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "curve.csv"
     _write_lines(path, ["tokens_processed,avg_word_cost_bits", "1000,2.5", row])
