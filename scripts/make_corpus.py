@@ -10,6 +10,8 @@ import argparse
 from morphseg import io
 from morphseg.synth import generate
 
+TOKENS_PER_LINE = 12
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -18,15 +20,14 @@ def main():
     parser.add_argument("--corpus", default="corpus.txt")
     parser.add_argument("--gold", default="gold.tsv")
     parser.add_argument("--tags", default="tags.txt")
-    parser.add_argument("--per-line", type=int, default=12, help="tokens per output line")
     args = parser.parse_args()
-    if args.tokens < 1 or args.per_line < 1:
-        parser.error("--tokens and --per-line must be at least 1")
+    if args.tokens < 1:
+        parser.error("--tokens must be at least 1")
 
     tokens, gold_lines, tags = generate(args.tokens, args.seed)
     io.write_lines(
         args.corpus,
-        (" ".join(tokens[i : i + args.per_line]) for i in range(0, len(tokens), args.per_line)),
+        (" ".join(tokens[i : i + TOKENS_PER_LINE]) for i in range(0, len(tokens), TOKENS_PER_LINE)),
     )
     io.write_lines(args.gold, gold_lines)
     io.write_lines(args.tags, tags)

@@ -36,7 +36,6 @@ def _add_corpus_options(p):
 
 
 def _add_method_options(p):
-    p.add_argument("--char-bits", type=int, default=mdl.CHAR_BITS, help="codebook bits per character")
     p.add_argument("--seed", type=int, default=mdl.DEFAULT_SEED, help="random seed")
     p.add_argument(
         "--dream-interval",
@@ -45,10 +44,6 @@ def _add_method_options(p):
         help="tokens between dreaming events for rec-mdl (0 disables)",
     )
     p.add_argument("--iterations", type=int, default=ml.ITERATIONS, help="EM iterations for seq-ml")
-    p.add_argument(
-        "--no-reject", action="store_true",
-        help="disable segmentation rejection and random fallback in seq-ml",
-    )
 
 
 def build_parser():
@@ -102,15 +97,14 @@ def _checked_options(args):
     Raises ValueError for an option either method cannot use, whatever
     --method says, so that an unusable one is rejected before any input is read.
     """
-    # --alphabet is a preset name or an explicit string of allowed characters
-    alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet)
+    # --alphabet is a preset name or an explicit string of allowed characters,
+    # lowercased as the text is
+    alphabet = ALPHABETS.get(args.alphabet) or frozenset(args.alphabet.lower())
     if not alphabet:
         raise ValueError("alphabet must not be empty")
-    if args.char_bits < 1:
-        raise ValueError("char_bits must be positive")
     if args.dream_interval < 0:
         raise ValueError("dream interval must not be negative (0 disables dreaming)")
-    mdl.check_codable("alphabet", len(alphabet), args.char_bits)  # --char-bits prices both codebooks
+    mdl.check_codable("alphabet", len(alphabet), mdl.CHAR_BITS)  # CHAR_BITS prices both codebooks
     if args.iterations < 1:
         raise ValueError("need at least one seq-ml iteration")
     return alphabet
@@ -151,16 +145,12 @@ def _train(method, args, corpus):
     rng = random.Random(args.seed)
     start = time.perf_counter()
     if method == "rec-mdl":
-        model = mdl.train_online(
-            corpus, char_bits=args.char_bits, dream_interval=args.dream_interval, rng=rng, curve=curve
-        )
+        model = mdl.train_online(corpus, dream_interval=args.dream_interval, rng=rng, curve=curve)
     else:
-        segmentation, model = ml.train_em(
-            corpus, iterations=args.iterations, rng=rng, use_rejection=not args.no_reject
-        )
+        segmentation, model = ml.train_em(corpus, iterations=args.iterations, rng=rng)
     seconds = time.perf_counter() - start
     # the cost on the scale of compare's report: corpus plus codebook bits
-    row = report.build_report(model, char_bits=args.char_bits)
+    row = report.build_report(model)
     _logger.info(
         "%s trained on %d tokens: %d morphs, %.1f bits, %.1f s",
         method, len(corpus), row.codebook_morphs, row.total_cost_bits, seconds,
@@ -339,7 +329,7 @@ def _compare_method(method, args, train, test, gold, files):
         test_seg = _segment_types_ml(model, test)
     if gold:
         evaluation = align.score_segmentation(test_seg, gold, test.type_counts, table)
-    row = report.build_report(model, evaluation, args.char_bits)
+    row = report.build_report(model, evaluation)
     if model_path:
         io.save_segmentation(train_seg, train_path)
         io.save_segmentation(test_seg, test_path)

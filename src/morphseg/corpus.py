@@ -15,8 +15,8 @@ from .errors import EmptyCorpusError, CorpusSizeError
 
 _logger = logging.getLogger(__name__)
 
-# Preset alphabets. Both stay within the 32 codable characters implied by
-# the default 5 bits per character of the MDL codebook cost.
+# Preset alphabets. Both stay within the 32 characters that the 5 bits per
+# character of the codebook cost (mdl.CHAR_BITS) can code.
 ALPHABETS = {
     "english": frozenset("abcdefghijklmnopqrstuvwxyz'-"),
     "finnish": frozenset("abcdefghijklmnopqrstuvwxyzåäö-"),

@@ -337,7 +337,7 @@ class ChunkStore:
     __hash__ = None
 
 
-def train_online(corpus, char_bits=CHAR_BITS, dream_interval=DREAM_INTERVAL, rng=None, curve=None):
+def train_online(corpus, dream_interval=DREAM_INTERVAL, rng=None, curve=None):
     """Feed a corpus through a fresh ChunkStore token by token, dreaming
     every dream_interval tokens (0 disables dreaming) in the word order
     rng draws; rng defaults to a generator seeded with DEFAULT_SEED.
@@ -347,10 +347,14 @@ def train_online(corpus, char_bits=CHAR_BITS, dream_interval=DREAM_INTERVAL, rng
     after the last token if no checkpoint fell there; a corpus with no tokens
     gives none. Each dreaming event logs one INFO record with args
     (tokens_processed, cost_before, cost_after).
+
+    Raises ValueError, before the first token, for a corpus with more
+    distinct characters than CHAR_BITS can code.
     """
     if dream_interval < 0:
         raise ValueError("dream interval must not be negative (0 disables dreaming)")
-    store = ChunkStore(char_bits)
+    check_codable("corpus", len(set().union(*corpus.type_counts)), CHAR_BITS)
+    store = ChunkStore()
     rng = rng or random.Random(DEFAULT_SEED)
     n = 0
     for token in corpus.tokens:

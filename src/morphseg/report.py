@@ -40,16 +40,16 @@ class MetricsReport:
         return record
 
 
-def build_report(model, evaluation=None, char_bits=CHAR_BITS):
+def build_report(model, evaluation=None):
     """MetricsReport for a trained ChunkStore or MorphStats.
 
-    char_bits prices the codebook of a MorphStats; a ChunkStore carries
-    its own.
+    A MorphStats codebook is priced at CHAR_BITS; a ChunkStore carries its
+    own char_bits.
     """
     if isinstance(model, ChunkStore):
         method, counts, char_bits = "rec-mdl", dict(model.iter_morphs()), model.char_bits
     elif isinstance(model, MorphStats):
-        method, counts = "seq-ml", model.counts
+        method, counts, char_bits = "seq-ml", model.counts, CHAR_BITS
     else:
         raise TypeError("unsupported model type: %r" % type(model).__name__)
     corpus, codebook = cost_bits(counts, char_bits)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import logged_args
-from morphseg import cli, io, ml, report, synth
+from morphseg import cli, io, mdl, ml, report, synth
 from morphseg.cli import build_parser, main
 from morphseg.corpus import read_corpus, split_corpus
 from morphseg.errors import UnsegmentableError
@@ -33,13 +33,18 @@ def workdir(tmp_path):
     return tmp_path
 
 
+# as many distinct characters as mdl.CHAR_BITS (5) bits can code, and one more
+ALPHABET_32 = "abcdefghijklmnopqrstuvwxyz'-åäöü"
+ALPHABET_33 = ALPHABET_32 + "é"
+
+
 def test_defaults():
     args = build_parser().parse_args(
         ["train", "--method", "rec-mdl", "--corpus", "c", "--model", "m"]
     )
     assert args.seed == 42
     assert args.alphabet == "english"
-    assert args.char_bits == 5
+    assert mdl.CHAR_BITS == 5
     assert ml.INTERVAL_MEAN == 5.5
 
 
@@ -103,16 +108,17 @@ def test_train_seq_ml(workdir):
     assert stats.total == sum(stats.counts.values())
 
 
-def test_train_rejects_uncodable_alphabet(workdir):
+def test_train_rejects_uncodable_alphabet(workdir, capsys):
     code = main(
         [
             "train", "--method", "rec-mdl",
             "--corpus", str(workdir / "corpus.txt"),
             "--model", str(workdir / "m"),
-            "--char-bits", "0",
+            "--alphabet", ALPHABET_33,
         ]
     )
     assert code == 2
+    assert "alphabet has 33 characters; 5 bits per character can code only 32" in capsys.readouterr().err
 
 
 def test_train_missing_corpus_is_a_data_error(workdir):
@@ -157,7 +163,7 @@ def test_train_zero_token_budget_is_a_data_error(workdir):
         ("seq-ml", "--iterations", "0"),
         ("seq-ml", "--cost-curve", "curve.csv"),  # the curve is rec-mdl's
         ("rec-mdl", "--dream-interval", "-1"),
-        ("rec-mdl", "--char-bits", "2"),
+        pytest.param("rec-mdl", "--alphabet", ALPHABET_33, id="rec-mdl---alphabet-33-characters"),
     ],
 )
 def test_train_checks_options_before_reading_the_corpus(workdir, method, option, value):
@@ -176,10 +182,11 @@ def test_train_checks_options_before_reading_the_corpus(workdir, method, option,
 @pytest.mark.parametrize(
     "method, option, value, message",
     [
-        # --char-bits also prices the seq-ml codebook in the log and the report
-        ("seq-ml", "--char-bits", "-5", "char_bits must be positive"),
-        ("seq-ml", "--char-bits", "0", "char_bits must be positive"),
-        ("seq-ml", "--char-bits", "4", "bits per character can code only 16"),
+        # CHAR_BITS also prices the seq-ml codebook in the log and the report
+        pytest.param(
+            "seq-ml", "--alphabet", ALPHABET_33, "5 bits per character can code only 32",
+            id="seq-ml---alphabet-33-characters",
+        ),
         ("seq-ml", "--dream-interval", "-1", "dream interval must not be negative"),
         ("rec-mdl", "--iterations", "0", "need at least one seq-ml iteration"),
     ],
@@ -863,21 +870,33 @@ def test_train_logs_the_seconds_of_the_training_call_only(workdir, monkeypatch, 
     assert args[4] == 2.5
 
 
-def test_no_reject_reaches_seq_ml_training(workdir, caplog):
+def test_seq_ml_training_always_uses_rejection(workdir, caplog):
     argv = ["train", "--method", "seq-ml", "--corpus", str(workdir / "corpus.txt"),
             "--model", str(workdir / "m"), "--iterations", "4"]
-    logged = {}
     with caplog.at_level(logging.INFO, logger="morphseg.ml"):
-        for extra in ([], ["--no-reject"]):
-            caplog.clear()
-            assert main(argv + extra) == 0
-            logged[bool(extra)] = logged_args(caplog, "morphseg.ml")
-    # args: iteration, morphs, corpus bits, rejected
-    assert [args[0] for args in logged[True]] == [1, 2, 3, 4]
-    assert all(args[3] == 0 for args in logged[True])
-    bits = [args[2] for args in logged[True]]
-    assert all(later <= earlier for earlier, later in zip(bits, bits[1:]))
-    assert sum(args[3] for args in logged[False]) > 0
+        assert main(argv) == 0
+    logged = logged_args(caplog, "morphseg.ml")
+    # args: iteration, morphs, corpus bits, rejected; the final iteration rejects nothing
+    assert [args[0] for args in logged] == [1, 2, 3, 4]
+    assert sum(args[3] for args in logged) > 0
+    assert logged[-1][3] == 0
+
+
+@pytest.mark.parametrize("option", [["--char-bits", "5"], ["--no-reject"]], ids=["char-bits", "no-reject"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_train_and_compare_have_no_char_bits_or_no_reject_option(workdir, capsys, command, option):
+    # mdl.CHAR_BITS prices every codebook, and seq-ml training always rejects
+    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
+    argv = {
+        "train": ["train", "--method", "seq-ml", "--corpus", str(workdir / "corpus.txt"),
+                  "--model", str(workdir / "m")],
+        "compare": _compare_argv(workdir),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
 
 
 def test_compare_without_gold_skips_alignment_rows(workdir, capsys):
@@ -1099,51 +1118,63 @@ def test_eval_with_count_files_reproduces_the_compare_report(workdir):
         assert record["unseen_pair_pct"] == row.unseen_pair_pct
 
 
-def test_zero_char_bits_is_a_usage_error_before_reading(workdir, capsys):
+@pytest.mark.parametrize("method", ["rec-mdl", "seq-ml"])
+def test_alphabet_of_32_characters_trains_and_33_is_a_usage_error_before_reading(
+    workdir, capsys, method
+):
+    model = workdir / "m"
+    train = ["train", "--method", method, "--corpus", str(workdir / "corpus.txt"),
+             "--model", str(model), "--iterations", "2"]
+    assert main(train + ["--alphabet", ALPHABET_32]) == 0
+    model.unlink()
     (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    code = main(
-        [
-            "train", "--method", "rec-mdl",
-            "--corpus", str(workdir / "corpus.txt"),
-            "--model", str(workdir / "m"),
-            "--alphabet", "a", "--char-bits", "0",
-        ]
-    )
-    assert code == 2
-    assert not (workdir / "m").exists()
-    assert main(_compare_argv(workdir, "--alphabet", "a", "--char-bits", "0")) == 2
+    assert main(train + ["--alphabet", ALPHABET_33]) == 2
+    assert not model.exists()
+    assert main(_compare_argv(workdir, "--alphabet", ALPHABET_33)) == 2
     assert not (workdir / "run").exists()
-    assert capsys.readouterr().err.count("char_bits must be positive") == 2
+    message = "alphabet has 33 characters; 5 bits per character can code only 32"
+    assert capsys.readouterr().err.count(message) == 2
+
+
+def test_an_explicit_alphabet_is_lowercased_like_the_text(workdir):
+    models = {}
+    for alphabet in ("ABCDEFGHIJKLMNOPQRSTUVWXYZ'-", "abcdefghijklmnopqrstuvwxyz'-"):
+        models[alphabet] = workdir / ("%d.model" % len(models))
+        argv = ["train", "--method", "rec-mdl", "--corpus", str(workdir / "corpus.txt"),
+                "--model", str(models[alphabet]), "--alphabet", alphabet]
+        assert main(argv) == 0
+    upper, lower = models.values()
+    assert upper.read_bytes() == lower.read_bytes()
+    # the codability check counts the lowercased set: 35 characters, 32 once lowercased
+    args = build_parser().parse_args(
+        ["train", "--method", "seq-ml", "--corpus", "c", "--model", "m", "--alphabet", ALPHABET_32 + "ABC"]
+    )
+    assert cli._checked_options(args) == frozenset(ALPHABET_32)
 
 
 @pytest.mark.parametrize("alphabet", ["english", "finnish", "a"])
 @pytest.mark.parametrize("char_bits", [-1, 0, 4, 5, 6])
-def test_char_bits_check_rejects_exactly_the_alphabets_it_cannot_code(alphabet, char_bits):
-    size = len(cli.ALPHABETS.get(alphabet) or set(alphabet))
-    for method in ("rec-mdl", "seq-ml"):  # --char-bits prices either codebook
-        args = build_parser().parse_args(
-            ["train", "--method", method, "--corpus", "c", "--model", "m",
-             "--alphabet", alphabet, "--char-bits", str(char_bits)]
-        )
-        try:
-            cli._checked_options(args)
-            rejected = False
-        except ValueError:
-            rejected = True
-        assert rejected == (char_bits < 1 or size > 2 ** char_bits), method
+def test_char_bits_check_rejects_exactly_the_alphabets_it_cannot_code(tmp_path, alphabet, char_bits):
+    # a rec-mdl model header's char_bits, checked by segment against the model's characters
+    chars = sorted(cli.ALPHABETS.get(alphabet) or set(alphabet))
+    model = tmp_path / "m.model"
+    records = "".join("%s\t0\t1\n" % c for c in chars)
+    model.write_text("morphseg-mdl v1 char_bits=%d\n%s" % (char_bits, records), encoding="utf-8")
+    words = tmp_path / "words.txt"
+    words.write_text(chars[0] + "\n", encoding="utf-8")
+    code = main(["segment", "--model", str(model), "--words", str(words), "--out", str(tmp_path / "o")])
+    assert code == (3 if char_bits < 1 or len(chars) > 2 ** char_bits else 0)
 
 
 def test_huge_char_bits_is_checked_at_once(workdir):
+    # a model header may carry any positive char_bits; the rule never builds 2**char_bits
+    model = workdir / "m.model"
+    model.write_text("morphseg-mdl v1 char_bits=1000000000\na\t0\t1\n", encoding="utf-8")
+    (workdir / "words.txt").write_text("a\n", encoding="utf-8")
     start = time.perf_counter()
-    code = main(
-        [
-            "train", "--method", "rec-mdl",
-            "--corpus", str(workdir / "missing.txt"),
-            "--model", str(workdir / "m"),
-            "--char-bits", "1000000000",
-        ]
-    )
-    assert code == 3  # the option is accepted; the missing corpus is the error
+    code = main(["segment", "--model", str(model), "--words", str(workdir / "words.txt"),
+                 "--out", str(workdir / "out.tsv")])
+    assert code == 0
     assert time.perf_counter() - start < 2.0
 
 
@@ -1234,7 +1265,7 @@ def test_segment_with_non_positive_char_bits_is_a_data_error(workdir, char_bits)
 
 
 def test_segment_with_a_model_its_char_bits_cannot_code_is_a_data_error(workdir, capsys):
-    # train would exit 2 for --char-bits 1: six characters need three bits
+    # train never writes char_bits=1: six characters need three bits
     model = workdir / "m.model"
     model.write_text("morphseg-mdl v1 char_bits=1\nabc\t0\t1\nxyz\t0\t1\n", encoding="utf-8")
     (workdir / "words.txt").write_text("abc\n", encoding="utf-8")

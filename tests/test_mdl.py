@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import logged_args
 from morphseg import io, synth
-from morphseg.corpus import Corpus
+from morphseg.corpus import Corpus, load_corpus
 from morphseg.errors import MorphsegError, NotTrainedError
 from morphseg.mdl import ChunkStore, cost_bits, train_online
 
@@ -69,6 +69,18 @@ def test_empty_word_rejected():
 def test_char_bits_validated():
     with pytest.raises(ValueError):
         ChunkStore(char_bits=0)
+
+
+def test_train_online_refuses_a_corpus_char_bits_cannot_code(tmp_path):
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    curve = []
+    with pytest.raises(ValueError, match="corpus has 36 characters; 5 bits per character can code only 32"):
+        train_online(load_corpus([alphabet], alphabet=frozenset(alphabet)), curve=curve)
+    assert curve == []  # refused before the first token
+    # 32 characters train, and the saved model loads
+    store = train_online(load_corpus([alphabet[:32]], alphabet=frozenset(alphabet)))
+    io.save_mdl_model(store, tmp_path / "m.model")
+    assert io.load_mdl_model(tmp_path / "m.model") == store
 
 
 def test_segment_unknown_word():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphseg.align import EvalResult
-from morphseg.mdl import ChunkStore, cost_bits
+from morphseg.mdl import CHAR_BITS, ChunkStore, cost_bits
 from morphseg.ml import MorphStats
 from morphseg.report import (
     ML_FOOTNOTE,
@@ -35,7 +35,7 @@ def test_relative_codebook_cost_is_a_share_of_the_total():
     # 9 corpus bits + 1 codebook bit -> 0.10
     assert 1.0 / (9.0 + 1.0) == 0.10
     stats = MorphStats({"ab": 2, "c": 2})
-    report = build_report(stats, char_bits=5)
+    report = build_report(stats)
     assert report.corpus_cost_bits == 4.0
     assert report.codebook_cost_bits == 15.0
     assert report.total_cost_bits == 19.0
@@ -46,9 +46,9 @@ def test_relative_codebook_cost_is_a_share_of_the_total():
 
 def test_ml_codebook_priced_like_the_mdl_one():
     stats = MorphStats({"talo": 10, "ja": 5})
-    report = build_report(stats, char_bits=4)
-    assert report.codebook_cost_bits == 4.0 * 6
-    assert report.corpus_cost_bits == pytest.approx(cost_bits(stats.counts, 4)[0])
+    report = build_report(stats)
+    assert report.codebook_cost_bits == CHAR_BITS * 6
+    assert report.corpus_cost_bits == pytest.approx(cost_bits(stats.counts, CHAR_BITS)[0])
 
 
 def test_build_report_rejects_unknown_models():
@@ -90,7 +90,7 @@ def test_metrics_roundtrip_is_lossless(tmp_path):
     evaluation = EvalResult(768000.125, 23.640000000000001, 99, 7, {})
     reports = [
         build_report(store, evaluation=evaluation),
-        build_report(MorphStats({"a": 3, "b": 1}), char_bits=5),
+        build_report(MorphStats({"a": 3, "b": 1})),
     ]
     write_metrics(reports, path)
     loaded = read_metrics(path)

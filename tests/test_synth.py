@@ -73,17 +73,25 @@ def _make_corpus(tmp_path, *args):
 
 
 def test_make_corpus_writes_the_generator_output(tmp_path):
-    result = _make_corpus(tmp_path, "--tokens", "30", "--seed", "3", "--per-line", "7")
+    result = _make_corpus(tmp_path, "--tokens", "30", "--seed", "3")
     assert result.returncode == 0, result.stderr
     tokens, gold, tags = synth.generate(30, seed=3)
-    lines = [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
+    lines = [" ".join(tokens[i : i + 12]) for i in range(0, len(tokens), 12)]
     for name, expected in [("c.txt", lines), ("g.tsv", gold), ("t.txt", tags)]:
         assert (tmp_path / name).read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("args", [("--tokens", "0"), ("--per-line", "0"), ("--per-line", "-1")])
+@pytest.mark.parametrize("args", [("--tokens", "0"), ("--tokens", "-1")])
 def test_make_corpus_rejects_layouts_with_no_tokens(tmp_path, args):
     result = _make_corpus(tmp_path, *args)
     assert result.returncode == 2
     assert "must be at least 1" in result.stderr
+    assert not (tmp_path / "c.txt").exists()
+
+
+def test_make_corpus_has_no_per_line_option(tmp_path):
+    # the corpus is always written 12 tokens to a line
+    result = _make_corpus(tmp_path, "--per-line", "7")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --per-line 7" in result.stderr
     assert not (tmp_path / "c.txt").exists()
