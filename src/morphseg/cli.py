@@ -104,7 +104,7 @@ def _checked_options(args):
         raise ValueError("alphabet must not be empty")
     if args.dream_interval < 0:
         raise ValueError("dream interval must not be negative (0 disables dreaming)")
-    mdl.check_codable("alphabet", len(alphabet), mdl.CHAR_BITS)  # CHAR_BITS prices both codebooks
+    mdl.check_codable("alphabet", alphabet)  # CHAR_BITS prices both codebooks
     if args.iterations < 1:
         raise ValueError("need at least one seq-ml iteration")
     return alphabet

@@ -4,7 +4,7 @@ All files are UTF-8 with LF line endings: one header line naming the
 format, version, and scalar parameters, then sorted TSV records. Loading
 a file with an unknown format or version fails without partial state.
 
-    morphseg-mdl v1 char_bits=<k>     text<TAB>split<TAB>count
+    morphseg-mdl v1 char_bits=5       text<TAB>split<TAB>count
     morphseg-ml v1 total=<N>          morph<TAB>count
     morphseg-seg v1                   word<TAB>morph1 morph2 ...
 
@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import ModelFormatError, MorphsegError
-from .mdl import ChunkStore, Chunk, check_codable
+from .mdl import CHAR_BITS, ChunkStore, Chunk, check_codable
 from .ml import MorphStats
 
 MDL_FORMAT = "morphseg-mdl"
@@ -183,16 +183,12 @@ def save_mdl_model(store, path):
         "%s\t%d\t%d" % (c.text, c.split, c.count)
         for c in (store.chunks[t] for t in sorted(store.chunks))
     )
-    write_records(path, [MDL_FORMAT, VERSION, "char_bits=%d" % store.char_bits], records)
+    write_records(path, [MDL_FORMAT, VERSION, "char_bits=%d" % CHAR_BITS], records)
 
 
 def load_mdl_model(path):
     params, records = _read(path, MDL_FORMAT, 3)
-    try:
-        char_bits = _int(params["char_bits"])
-    except (KeyError, ValueError):
-        char_bits = 0
-    if char_bits < 1:
+    if params.get("char_bits") != "%d" % CHAR_BITS:
         raise ModelFormatError("%s: missing or bad char_bits" % (path,))
 
     def parse(path, lineno, text, split_s, count_s):
@@ -208,8 +204,8 @@ def load_mdl_model(path):
     if not chunks:
         raise ModelFormatError("%s: no chunk records" % (path,))
     try:
-        check_codable("model", len(set().union(*chunks)), char_bits)
-        return ChunkStore.from_chunks(chunks, char_bits)
+        check_codable("model", chunks)
+        return ChunkStore.from_chunks(chunks)
     except (MorphsegError, ValueError) as exc:
         raise ModelFormatError("%s: %s" % (path, exc)) from None
 
@@ -228,6 +224,10 @@ def load_ml_model(path):
     counts = _table(path, records, "morph", _count)
     if not counts:
         raise ModelFormatError("%s: no morph records" % (path,))
+    try:
+        check_codable("model", counts)
+    except ValueError as exc:
+        raise ModelFormatError("%s: %s" % (path, exc)) from None
     # per-type usage is not part of the interchange format; loaded models
     # serve segmentation, training rebuilds usage from scratch
     stats = MorphStats(counts)

@@ -6,7 +6,7 @@ counts flow downward, so the count of a child always equals the sum of the
 counts of its parents plus its own top-level insertions. The model cost is
 
     corpus bits   = sum over morph tokens of -log2 p(morph)
-    codebook bits = sum over distinct morphs of char_bits * len(morph)
+    codebook bits = sum over distinct morphs of CHAR_BITS * len(morph)
 
 with p estimated by maximum likelihood from the leaf counts. Splits are
 chosen greedily and revised online as more text arrives; each periodic
@@ -47,36 +47,33 @@ class Chunk:
     split: int = 0
 
 
-def cost_bits(counts, char_bits):
+def cost_bits(counts):
     """(corpus bits, codebook bits) of a codebook given as morph -> token count.
 
     Corpus bits code each morph token by its maximum-likelihood probability;
-    codebook bits spell out each distinct morph at char_bits per character.
+    codebook bits spell out each distinct morph at CHAR_BITS per character.
     Both methods are compared under the total, corpus + codebook in that order.
     """
     n = sum(counts.values())
     corpus = math.fsum(c * _log2(n / c) for c in counts.values())
-    return corpus, float(char_bits * sum(map(len, counts)))
+    return corpus, float(CHAR_BITS * sum(map(len, counts)))
 
 
-def check_codable(what, n_chars, char_bits):
-    """Raise ValueError, naming what, if char_bits bits per character cannot
-    code its n_chars distinct characters: n_chars > 2**char_bits, tested
-    without building 2**char_bits."""
-    if (n_chars - 1).bit_length() > char_bits:
+def check_codable(what, strings):
+    """Raise ValueError, naming what, if CHAR_BITS bits per character cannot
+    code the distinct characters of strings."""
+    n = len(set().union(*strings))
+    if n > 2**CHAR_BITS:
         raise ValueError(
             "%s has %d characters; %d bits per character can code only %d"
-            % (what, n_chars, char_bits, 2 ** char_bits)
+            % (what, n, CHAR_BITS, 2**CHAR_BITS)
         )
 
 
 class ChunkStore:
     """Hierarchical chunk model."""
 
-    def __init__(self, char_bits=CHAR_BITS):
-        if char_bits < 1:
-            raise ValueError("char_bits must be positive")
-        self.char_bits = char_bits
+    def __init__(self):
         self.chunks = {}
         # top-level insertion tallies, i.e. how often each word was fed in
         self.word_counts = {}
@@ -86,7 +83,7 @@ class ChunkStore:
 
     def total_cost(self):
         """Total cost in bits of the stored chunks' codebook, as cost_bits prices it."""
-        corpus, codebook = cost_bits(dict(self.iter_morphs()), self.char_bits)
+        corpus, codebook = cost_bits(dict(self.iter_morphs()))
         return corpus + codebook
 
     # kept only because perfbench/layers.py reads it; ROADMAP item 6 deletes it
@@ -154,7 +151,7 @@ class ChunkStore:
 
         The store is not changed. c would flow down both parts' split trees:
         each leaf reached gains c per path, and a missing part becomes a new
-        leaf. The cost is f(N) - sum of f(leaf count) + char_bits * leaf
+        leaf. The cost is f(N) - sum of f(leaf count) + CHAR_BITS * leaf
         characters with f(x) = x*log2(x), so the change is one math.fsum of
         the f terms that change and the codebook change. fsum rounds their
         exact sum once: splits leaving equal leaf-count multisets tie exactly.
@@ -181,7 +178,7 @@ class ChunkStore:
             old = node.count if node is not None else 0
             terms.append(_xlog2x(old))
             terms.append(-_xlog2x(old + gain))
-        terms.append(float(self.char_bits * chars))
+        terms.append(float(CHAR_BITS * chars))
         return math.fsum(terms)
 
     def recursive_split(self, text):
@@ -276,7 +273,7 @@ class ChunkStore:
         return inflow
 
     @classmethod
-    def from_chunks(cls, chunks, char_bits):
+    def from_chunks(cls, chunks):
         """A store holding chunks (text -> Chunk), with its leaf token
         total and top-level word tallies derived from them.
 
@@ -285,7 +282,7 @@ class ChunkStore:
         trainable again. Raises MorphsegError if the chunks do not form
         a consistent flow.
         """
-        store = cls(char_bits)
+        store = cls()
         store.chunks = chunks
         inflow = store._inflow()
         for text, chunk in chunks.items():
@@ -332,7 +329,7 @@ class ChunkStore:
     def __eq__(self, other):
         if not isinstance(other, ChunkStore):
             return NotImplemented
-        return self.char_bits == other.char_bits and self.chunks == other.chunks
+        return self.chunks == other.chunks
 
     __hash__ = None
 
@@ -353,7 +350,7 @@ def train_online(corpus, dream_interval=DREAM_INTERVAL, rng=None, curve=None):
     """
     if dream_interval < 0:
         raise ValueError("dream interval must not be negative (0 disables dreaming)")
-    check_codable("corpus", len(set().union(*corpus.type_counts)), CHAR_BITS)
+    check_codable("corpus", corpus.type_counts)
     store = ChunkStore()
     rng = rng or random.Random(DEFAULT_SEED)
     n = 0

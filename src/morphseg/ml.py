@@ -14,7 +14,7 @@ import math
 import random
 
 from .errors import UnsegmentableError, MorphsegError
-from .mdl import DEFAULT_SEED, cost_bits
+from .mdl import DEFAULT_SEED, check_codable, cost_bits
 
 _logger = logging.getLogger(__name__)
 
@@ -166,10 +166,12 @@ def train_em(corpus, iterations=ITERATIONS, rng=None, use_rejection=True):
     random segmentations except on the final iteration; with it off the
     corpus bits logged after each iteration never increase. Each iteration
     logs one INFO record with args (iteration, morphs, corpus bits,
-    rejected).
+    rejected). Raises ValueError, before the first random draw, for a corpus
+    with more distinct characters than CHAR_BITS can code.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    check_codable("corpus", corpus.type_counts)
     rng = rng or random.Random(DEFAULT_SEED)
     segmentation = {word: random_segment(word, rng) for word in corpus.type_counts}
     stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
@@ -192,6 +194,6 @@ def train_em(corpus, iterations=ITERATIONS, rng=None, use_rejection=True):
         stats = MorphStats.from_segmentation(segmentation, corpus.type_counts)
         _logger.info(
             "seq-ml iteration %d: %d morphs, %.1f corpus bits, %d rejected",
-            it + 1, len(stats.counts), cost_bits(stats.counts, 0)[0], rejected,
+            it + 1, len(stats.counts), cost_bits(stats.counts)[0], rejected,
         )
     return segmentation, stats

@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 from . import io
-from .mdl import CHAR_BITS, ChunkStore, cost_bits
+from .mdl import ChunkStore, cost_bits
 from .ml import MorphStats
 
 ML_FOOTNOTE = (
@@ -41,18 +41,14 @@ class MetricsReport:
 
 
 def build_report(model, evaluation=None):
-    """MetricsReport for a trained ChunkStore or MorphStats.
-
-    A MorphStats codebook is priced at CHAR_BITS; a ChunkStore carries its
-    own char_bits.
-    """
+    """MetricsReport for a trained ChunkStore or MorphStats."""
     if isinstance(model, ChunkStore):
-        method, counts, char_bits = "rec-mdl", dict(model.iter_morphs()), model.char_bits
+        method, counts = "rec-mdl", dict(model.iter_morphs())
     elif isinstance(model, MorphStats):
-        method, counts, char_bits = "seq-ml", model.counts, CHAR_BITS
+        method, counts = "seq-ml", model.counts
     else:
         raise TypeError("unsupported model type: %r" % type(model).__name__)
-    corpus, codebook = cost_bits(counts, char_bits)
+    corpus, codebook = cost_bits(counts)
     total = corpus + codebook
     return MetricsReport(
         method=method,

@@ -8,7 +8,7 @@ segmentations and paths produce bit-identical floats.
 
 import math
 
-from morphseg.mdl import Chunk, ChunkStore
+from morphseg.mdl import CHAR_BITS, Chunk, ChunkStore
 
 
 def iter_segmentations(word):
@@ -104,7 +104,7 @@ def traced_flat_cost(store):
     if total == 0:
         return 0.0
     corpus = sum(c * math.log2(total / c) for c in counts.values())
-    return corpus + store.char_bits * sum(len(m) for m in counts)
+    return corpus + CHAR_BITS * sum(len(m) for m in counts)
 
 
 def em_align_keeping_paths(segmented, gold, token_counts, max_iters, tol, distance_log):
@@ -152,7 +152,7 @@ def _cost_terms(store):
     n = sum(chunk.count for chunk in leaves)
     terms = [n * math.log2(n)] if n else []
     terms += [-(chunk.count * math.log2(chunk.count)) for chunk in leaves]
-    terms.append(float(store.char_bits * sum(len(chunk.text) for chunk in leaves)))
+    terms.append(float(CHAR_BITS * sum(len(chunk.text) for chunk in leaves)))
     return terms
 
 

@@ -1,4 +1,6 @@
 import codecs
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,22 @@ from morphseg import io
 from morphseg.errors import ModelFormatError, MorphsegError
 from morphseg.mdl import ChunkStore, train_online
 from morphseg.ml import MorphStats
+
+
+def test_every_header_the_writers_write_is_in_the_readme(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    store = ChunkStore()
+    store.process_word("ab")
+    io.save_mdl_model(store, tmp_path / "mdl")
+    io.save_ml_model(MorphStats({"ab": 1}), tmp_path / "ml")
+    io.save_segmentation({"ab": ["ab"]}, tmp_path / "seg")
+    io.save_word_counts({"ab": 1}, tmp_path / "counts")
+    io.write_cost_curve([(1, 2.0)], tmp_path / "curve")
+    for name in ["mdl", "ml", "seg", "counts", "curve"]:
+        header = (tmp_path / name).read_text(encoding="utf-8").split("\n", 1)[0]
+        header = re.sub(r"total=\d+$", "total=N", header)  # the one value that varies
+        assert "`%s`" % header in formats
 
 
 # -- chunk stores -----------------------------------------------------------
@@ -110,10 +128,12 @@ def test_mdl_load_rejects_impossible_flow(tmp_path):
 
 
 def test_mdl_load_requires_char_bits(tmp_path):
+    # save_mdl_model writes char_bits=5 and nothing else; any other header is refused
     path = tmp_path / "m.model"
-    _write_lines(path, ["morphseg-mdl v1", "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match="char_bits"):
-        io.load_mdl_model(path)
+    for header in ["morphseg-mdl v1"] + ["morphseg-mdl v1 char_bits=" + v for v in ["4", "6", "1000000000"]]:
+        _write_lines(path, [header, "a\t0\t1"])
+        with pytest.raises(ModelFormatError, match="missing or bad char_bits"):
+            io.load_mdl_model(path)
     _write_lines(path, ["morphseg-mdl v1 char_bits", "a\t0\t1"])
     with pytest.raises(ModelFormatError, match="bad header parameter 'char_bits'"):
         io.load_mdl_model(path)
@@ -127,30 +147,39 @@ def test_mdl_load_rejects_non_positive_char_bits(tmp_path, char_bits):
         io.load_mdl_model(path)
 
 
+_CHARS_33 = "abcdefghijklmnopqrstuvwxyz'-åäöüé"
+
+
 @pytest.mark.parametrize(
-    "char_bits, chunks, codable",
+    "char_bits, chunks",
     [
-        ("1", ["abc", "xyz"], False),  # six characters, two codes
-        ("2", ["abc", "xyz"], False),
-        ("3", ["abc", "xyz"], True),
-        ("1", ["ab", "ba"], True),  # exactly 2**1 characters
-        ("2", ["abcd", "e"], False),
+        ("1", ["abc", "xyz"]),
+        ("2", ["abc", "xyz"]),
+        ("3", ["abc", "xyz"]),
+        ("1", ["ab", "ba"]),
+        ("2", ["abcd", "e"]),
+        ("5", sorted(_CHARS_33[:32])),  # as many characters as 5 bits can code
+        ("5", sorted(_CHARS_33)),
     ],
-    ids=["6-chars-1-bit", "6-chars-2-bits", "6-chars-3-bits", "2-chars-1-bit", "5-chars-2-bits"],
+    ids=[
+        "6-chars-1-bit", "6-chars-2-bits", "6-chars-3-bits", "2-chars-1-bit", "5-chars-2-bits",
+        "32-chars-5-bits", "33-chars-5-bits",
+    ],
 )
-def test_mdl_load_rejects_characters_char_bits_cannot_code(tmp_path, char_bits, chunks, codable):
-    # the rule train applies to --char-bits and the alphabet
+def test_mdl_load_rejects_characters_char_bits_cannot_code(tmp_path, char_bits, chunks):
+    # the rule train applies to the alphabet; a model an earlier version wrote
+    # at another char_bits is refused whatever its characters
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=" + char_bits] + [c + "\t0\t1" for c in chunks])
-    if codable:
+    if char_bits != "5":
+        with pytest.raises(ModelFormatError, match="missing or bad char_bits"):
+            io.load_mdl_model(path)
+    elif len(chunks) <= 32:
         assert sorted(io.load_mdl_model(path).chunks) == chunks
-        return
-    n_chars = len(set("".join(chunks)))
-    message = "m.model: model has %d characters; %s bits per character can code only %d" % (
-        n_chars, char_bits, 2 ** int(char_bits)
-    )
-    with pytest.raises(ModelFormatError, match=message):
-        io.load_mdl_model(path)
+    else:
+        message = "m.model: model has 33 characters; 5 bits per character can code only 32"
+        with pytest.raises(ModelFormatError, match=message):
+            io.load_mdl_model(path)
 
 
 @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=6), min_size=1, max_size=20))

@@ -66,11 +66,6 @@ def test_empty_word_rejected():
         store.process_word("")
 
 
-def test_char_bits_validated():
-    with pytest.raises(ValueError):
-        ChunkStore(char_bits=0)
-
-
 def test_train_online_refuses_a_corpus_char_bits_cannot_code(tmp_path):
     alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
     curve = []
@@ -118,7 +113,7 @@ def test_negative_dreaming_settings_are_rejected(tiny_corpus, field):
 
 def test_tracked_cost_matches_scratch(tiny_corpus):
     store = train_online(tiny_corpus, dream_interval=0)
-    corpus, codebook = cost_bits(dict(store.iter_morphs()), store.char_bits)
+    corpus, codebook = cost_bits(dict(store.iter_morphs()))
     assert store.tracked_cost == pytest.approx(corpus + codebook, rel=1e-9)
     assert corpus >= 0.0
     assert codebook == 5.0 * sum(len(c.text) for c in store.chunks.values() if c.split == 0)
@@ -133,7 +128,7 @@ def test_cost_bits_does_not_depend_on_insertion_order(counts, rng):
     # fsum is correctly rounded, so the same count table gives the same floats
     items = list(counts.items())
     rng.shuffle(items)
-    assert cost_bits(dict(items), 5) == cost_bits(counts, 5)
+    assert cost_bits(dict(items)) == cost_bits(counts)
 
 
 def test_codebook_accessors(tiny_corpus):

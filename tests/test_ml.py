@@ -235,7 +235,7 @@ def test_morph_stats_from_segmentation():
     assert stats.total == 7
     assert stats.type_usage == {"a": 1, "ab": 2}
     expected = 2 * math.log2(7 / 2) + 5 * math.log2(7 / 5)
-    assert cost_bits(stats.counts, 0)[0] == pytest.approx(expected, rel=1e-12)
+    assert cost_bits(stats.counts)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def _assert_prices_exact(stats):
@@ -283,7 +283,7 @@ def test_training_decisions_are_pinned(tmp_path):
 def test_ml_cost():
     corpus = Corpus.from_tokens(["ab", "ab"])
     stats = MorphStats.from_segmentation({"ab": ["a", "b"]}, corpus.type_counts)
-    assert cost_bits(stats.counts, 0)[0] == 4.0
+    assert cost_bits(stats.counts)[0] == 4.0
     with pytest.raises(MorphsegError):
         MorphStats.from_segmentation({}, corpus.type_counts)
 
@@ -298,6 +298,20 @@ def test_morph_stats_derives_its_total():
 def test_train_em_requires_an_iteration(tiny_corpus):
     with pytest.raises(ValueError):
         train_em(tiny_corpus, iterations=0)
+
+
+def test_train_em_refuses_a_corpus_char_bits_cannot_code(tmp_path):
+    # the rule io.load_ml_model applies, so that train_em cannot make a model it refuses
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456"
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="corpus has 33 characters; 5 bits per character can code only 32"):
+        train_em(Corpus.from_tokens([alphabet]), rng=rng)
+    assert rng.getstate() == state  # refused before the first random draw
+    # 32 characters train, and the saved model loads
+    _, stats = train_em(Corpus.from_tokens([alphabet[:32]]), iterations=1)
+    io.save_ml_model(stats, tmp_path / "m.model")
+    assert io.load_ml_model(tmp_path / "m.model").counts == stats.counts
 
 
 def test_train_em_segments_every_type(tiny_corpus):
@@ -347,7 +361,7 @@ def test_train_em_estimates_stats_once_per_iteration_plus_once(caplog, monkeypat
     assert stats is built[-1]
     # each iteration logs the stats of the segmentation it produced
     logged = [(morphs, bits) for _, morphs, bits, _ in logged_args(caplog, "morphseg.ml")]
-    assert logged == [(len(s.counts), cost_bits(s.counts, 0)[0]) for s in built[1:]]
+    assert logged == [(len(s.counts), cost_bits(s.counts)[0]) for s in built[1:]]
 
 
 def test_train_em_logs_rejections(caplog, monkeypatch):

@@ -48,7 +48,7 @@ def test_ml_codebook_priced_like_the_mdl_one():
     stats = MorphStats({"talo": 10, "ja": 5})
     report = build_report(stats)
     assert report.codebook_cost_bits == CHAR_BITS * 6
-    assert report.corpus_cost_bits == pytest.approx(cost_bits(stats.counts, CHAR_BITS)[0])
+    assert report.corpus_cost_bits == pytest.approx(cost_bits(stats.counts)[0])
 
 
 def test_build_report_rejects_unknown_models():
