@@ -23,6 +23,8 @@ def main():
     args = parser.parse_args()
     if args.tokens < 1:
         parser.error("--tokens must be at least 1")
+    if "" in (args.corpus, args.gold, args.tags):
+        parser.error("output paths must not be empty")
 
     tokens, gold_lines, tags = generate(args.tokens, args.seed)
     io.write_lines(

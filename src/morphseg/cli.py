@@ -111,18 +111,20 @@ def _checked_options(args):
 
 
 def _check_output_dirs(paths, inputs, made_dir=None):
-    """Raise MorphsegError naming an output path that is a directory, whose
-    directory is missing, that resolves to the file of one of the inputs
-    (paths the command reads; None for an option not given) or of an
-    earlier path, or a made_dir (the --out-dir compare makes at its first
-    write) whose nearest existing ancestor, itself included, is not a
-    directory."""
+    """Raise MorphsegError naming an output path that is a directory (as the
+    empty path '.' is), whose directory is missing, that resolves to the
+    file of one of the inputs (paths the command reads) or of an earlier
+    path, or a made_dir (the --out-dir compare makes at its first write)
+    that is empty or whose nearest existing ancestor, itself included, is
+    not a directory. None stands for an option not given."""
+    if made_dir == "":
+        raise MorphsegError("output directory is an empty path")
     made = made_dir and Path(made_dir).resolve()
     if made and not next(p for p in (made, *made.parents) if p.exists()).is_dir():
         raise MorphsegError("cannot make output directory below a file: %r" % (made_dir,))
     read = {Path(path).resolve() for path in filter(None, inputs)}
     seen = set()
-    for path in map(str, filter(None, paths)):
+    for path in (str(path) for path in paths if path is not None):
         if Path(path).is_dir():
             raise MorphsegError("output file is a directory: %r" % (path,))
         resolved = Path(path).resolve()
@@ -141,7 +143,7 @@ def _train(method, args, corpus):
     Logs one INFO record, args (method, tokens, morphs, bits of build_report,
     seconds spent in the training call)."""
     segmentation = None
-    curve = [] if args.cost_curve and method == "rec-mdl" else None
+    curve = [] if args.cost_curve is not None and method == "rec-mdl" else None
     rng = random.Random(args.seed)
     start = time.perf_counter()
     if method == "rec-mdl":
@@ -160,7 +162,7 @@ def _train(method, args, corpus):
 
 def cmd_train(args):
     alphabet = _checked_options(args)
-    if args.cost_curve and args.method == "seq-ml":
+    if args.cost_curve is not None and args.method == "seq-ml":
         raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     _check_output_dirs([args.model, args.cost_curve], [args.corpus])
     corpus = read_corpus(args.corpus, alphabet)
@@ -276,7 +278,7 @@ def cmd_eval(args):
         "max_distance": table.max_distance,
     }
     io.write_lines(args.out, [json.dumps(record, sort_keys=True)])
-    if args.dump_alignments:
+    if args.dump_alignments is not None:
         lines = (
             align.format_alignment(word, test_seg[word], gold[word].labels, alignment)
             for word, alignment in sorted(result.alignments.items())
@@ -340,7 +342,7 @@ def cmd_compare(args):
     alphabet = _checked_options(args)
     if not args.gold and args.tags:
         raise ValueError("--tags applies to the alignment, which needs --gold")
-    files, report_path = _compare_outputs(Path(args.out_dir)) if args.out_dir else ({}, None)
+    files, report_path = ({}, None) if args.out_dir is None else _compare_outputs(Path(args.out_dir))
     outputs = [*sum(files.values(), []), report_path, args.cost_curve]
     _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)
     train, test = split_corpus(read_corpus(args.corpus, alphabet), args.train_tokens, args.test_tokens)

@@ -32,8 +32,8 @@ CURVE_HEADER = "tokens_processed,avg_word_cost_bits"
 @contextlib.contextmanager
 def output(path):
     """The file at path, opened for UTF-8 text with LF line ends, or stdout
-    when no path is given."""
-    if not path:
+    when path is None."""
+    if path is None:
         yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -179,6 +179,7 @@ def save_model(model, path):
 
 
 def save_mdl_model(store, path):
+    check_codable("model", store.chunks)  # load_mdl_model refuses it; no file is made
     records = (
         "%s\t%d\t%d" % (c.text, c.split, c.count)
         for c in (store.chunks[t] for t in sorted(store.chunks))
@@ -211,6 +212,7 @@ def load_mdl_model(path):
 
 
 def save_ml_model(stats, path):
+    check_codable("model", stats.counts)  # load_ml_model refuses it; no file is made
     records = ("%s\t%d" % (m, stats.counts[m]) for m in sorted(stats.counts))
     write_records(path, [ML_FORMAT, VERSION, "total=%d" % stats.total], records)
 

@@ -973,6 +973,7 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     def no_reading(*args, **kwargs):
         raise AssertionError("read input despite a missing output directory")
 
+    monkeypatch.chdir(workdir)  # where an empty path would put its files
     monkeypatch.setattr(cli, "read_corpus", no_reading)
     monkeypatch.setattr(cli, "_read_words", no_reading)
     monkeypatch.setattr(cli.io, "load_model", no_reading)
@@ -1022,6 +1023,14 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         (is_dir % str(taken), segment + ["--out", str(taken)]),
         (is_dir % str(taken), evaluate + ["--out", str(taken)]),
         (is_dir % str(taken), evaluate + ["--out", str(metrics), "--dump-alignments", str(taken)]),
+        # an empty path is the working directory, not stdout or an option not given
+        (is_dir % "", train + ["--model", ""]),
+        (is_dir % "", train + ["--model", str(workdir / "m"), "--cost-curve", ""]),
+        (is_dir % "", _compare_argv(workdir, "--cost-curve", "")),
+        (is_dir % "", segment + ["--out", ""]),
+        (is_dir % "", evaluate + ["--out", ""]),
+        (is_dir % "", evaluate + ["--out", str(metrics), "--dump-alignments", ""]),
+        ("output directory is an empty path", _compare_argv(workdir, "--out-dir", "")),
         (below_file % str(plain), _compare_argv(workdir, "--out-dir", str(plain))),
         (below_file % str(plain / "sub"), _compare_argv(workdir, "--out-dir", str(plain / "sub"))),
         (

@@ -182,6 +182,26 @@ def test_mdl_load_rejects_characters_char_bits_cannot_code(tmp_path, char_bits, 
             io.load_mdl_model(path)
 
 
+@pytest.mark.parametrize("n_chars", [32, 33])
+@pytest.mark.parametrize("kind", ["mdl", "ml"])
+def test_writers_refuse_a_model_the_loaders_refuse(tmp_path, kind, n_chars):
+    word = _CHARS_33[:n_chars]
+    if kind == "mdl":
+        model = ChunkStore()
+        model.process_word(word)  # fed directly, so no training call checked the characters
+    else:
+        model = MorphStats({word: 1})
+    path = tmp_path / "m.model"
+    if n_chars == 32:
+        io.save_model(model, path)
+        assert type(io.load_model(path)) is type(model)
+    else:
+        message = "model has 33 characters; 5 bits per character can code only 32"
+        with pytest.raises(ValueError, match=message):
+            io.save_model(model, path)
+        assert not path.exists()
+
+
 @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=6), min_size=1, max_size=20))
 @settings(max_examples=40, deadline=None)
 def test_mdl_roundtrip_property(words):
@@ -410,9 +430,14 @@ def test_model_headers_reject_a_repeated_key(tmp_path, lines, load):
         load(path)
 
 
-def test_write_records_without_a_path_writes_to_stdout(capsys):
+def test_write_records_without_a_path_writes_to_stdout(capsys, tmp_path, monkeypatch):
     io.write_records(None, ["morphseg-seg", "v1"], iter(["päivät\tpäivä t"]))
     assert capsys.readouterr().out == "morphseg-seg v1\npäivät\tpäivä t\n"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):  # "" is a path, and names no file; it is not None
+        io.write_records("", ["morphseg-seg", "v1"], iter(["ab\tab"]))
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

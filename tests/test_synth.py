@@ -89,6 +89,14 @@ def test_make_corpus_rejects_layouts_with_no_tokens(tmp_path, args):
     assert not (tmp_path / "c.txt").exists()
 
 
+@pytest.mark.parametrize("option", ["--corpus", "--gold", "--tags"])
+def test_make_corpus_rejects_an_empty_output_path(tmp_path, option):
+    result = _make_corpus(tmp_path, "--tokens", "30", option, "")
+    assert result.returncode == 2
+    assert "output paths must not be empty" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_make_corpus_has_no_per_line_option(tmp_path):
     # the corpus is always written 12 tokens to a line
     result = _make_corpus(tmp_path, "--per-line", "7")
