@@ -122,7 +122,7 @@ def _check_output_dirs(paths, inputs, made_dir=None):
     made = made_dir and Path(made_dir).resolve()
     if made and not next(p for p in (made, *made.parents) if p.exists()).is_dir():
         raise MorphsegError("cannot make output directory below a file: %r" % (made_dir,))
-    read = {Path(path).resolve() for path in filter(None, inputs)}
+    read = {Path(path).resolve() for path in inputs if path is not None}
     seen = set()
     for path in (str(path) for path in paths if path is not None):
         if Path(path).is_dir():
@@ -251,14 +251,14 @@ def cmd_segment(args):
 
 
 def _counts_for(segmentation, path):
-    if path:
+    if path is not None:
         return io.load_word_counts(path)
     return {word: 1 for word in segmentation}
 
 
 def _load_gold(args):
     """The reference analyses of --gold, keeping only the tags listed in --tags if given."""
-    tag_filter = align.load_tag_filter(args.tags) if args.tags else None
+    tag_filter = align.load_tag_filter(args.tags) if args.tags is not None else None
     return align.load_gold(args.gold, tag_filter)
 
 
@@ -340,14 +340,14 @@ def _compare_method(method, args, train, test, gold, files):
 
 def cmd_compare(args):
     alphabet = _checked_options(args)
-    if not args.gold and args.tags:
+    if args.gold is None and args.tags is not None:
         raise ValueError("--tags applies to the alignment, which needs --gold")
     files, report_path = ({}, None) if args.out_dir is None else _compare_outputs(Path(args.out_dir))
     outputs = [*sum(files.values(), []), report_path, args.cost_curve]
     _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)
     train, test = split_corpus(read_corpus(args.corpus, alphabet), args.train_tokens, args.test_tokens)
 
-    gold = _load_gold(args) if args.gold else None
+    gold = _load_gold(args) if args.gold is not None else None
     if gold is not None:  # each side needs a word to fit or score before anything trains
         align.covered_words(train.type_counts, gold, "training word")
         align.covered_words(test.type_counts, gold, "test word")

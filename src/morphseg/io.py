@@ -1,8 +1,8 @@
 """Versioned, deterministic file formats for models and results.
 
 All files are UTF-8 with LF line endings: one header line naming the
-format, version, and scalar parameters, then sorted TSV records. Loading
-a file with an unknown format or version fails without partial state.
+format, version and parameters, then sorted TSV records. A header other
+than its writer's, word for word, fails the load without partial state.
 
     morphseg-mdl v1 char_bits=5       text<TAB>split<TAB>count
     morphseg-ml v1 total=<N>          morph<TAB>count
@@ -27,6 +27,7 @@ SEG_FORMAT = "morphseg-seg"
 COUNTS_FORMAT = "morphseg-counts"
 VERSION = "v1"
 CURVE_HEADER = "tokens_processed,avg_word_cost_bits"
+MDL_PARAMS = ["char_bits=%d" % CHAR_BITS]  # what save_mdl_model writes, all load_mdl_model reads
 
 
 @contextlib.contextmanager
@@ -91,26 +92,22 @@ def _records(path, lines, n_fields, sep):
 
 
 def _read(path, expected_format, n_fields):
-    """Header params and the (line number, fields) records of a model file."""
+    """The header words after format and version, and the (line number, fields) records."""
     lines = _lines(path)
     if not lines:
         raise ModelFormatError("%s: empty file" % (path,))
     head = lines[0].split(" ")
     if head[0] != expected_format:
-        raise ModelFormatError(
-            "%s: expected a %s file, found %r" % (path, expected_format, lines[0])
-        )
+        raise ModelFormatError("%s: expected a %s file, found %r" % (path, expected_format, lines[0]))
     if len(head) < 2 or head[1] != VERSION:
-        raise ModelFormatError(
-            "%s: unsupported %s version %r" % (path, expected_format, lines[0])
-        )
-    params = {}
-    for part in head[2:]:
-        key, eq, value = part.partition("=")
-        if not eq or key in params:
-            raise ModelFormatError("%s: bad header parameter %r" % (path, part))
-        params[key] = value
-    return params, _records(path, lines[1:], n_fields, "\t")
+        raise ModelFormatError("%s: unsupported %s version %r" % (path, expected_format, lines[0]))
+    return head[2:], _records(path, lines[1:], n_fields, "\t")
+
+
+def _check_params(path, params, expected):
+    """Refuse a header whose parameters are not word for word the ones its writer writes."""
+    if params != expected:
+        raise ModelFormatError("%s: header parameters %r, expected %r" % (path, params, expected))
 
 
 def _table(path, records, what, parse):
@@ -184,13 +181,12 @@ def save_mdl_model(store, path):
         "%s\t%d\t%d" % (c.text, c.split, c.count)
         for c in (store.chunks[t] for t in sorted(store.chunks))
     )
-    write_records(path, [MDL_FORMAT, VERSION, "char_bits=%d" % CHAR_BITS], records)
+    write_records(path, [MDL_FORMAT, VERSION, *MDL_PARAMS], records)
 
 
 def load_mdl_model(path):
     params, records = _read(path, MDL_FORMAT, 3)
-    if params.get("char_bits") != "%d" % CHAR_BITS:
-        raise ModelFormatError("%s: missing or bad char_bits" % (path,))
+    _check_params(path, params, MDL_PARAMS)
 
     def parse(path, lineno, text, split_s, count_s):
         try:
@@ -211,18 +207,19 @@ def load_mdl_model(path):
         raise ModelFormatError("%s: %s" % (path, exc)) from None
 
 
+def _ml_params(stats):
+    """What save_ml_model writes for stats, all load_ml_model reads for them."""
+    return ["total=%d" % stats.total]
+
+
 def save_ml_model(stats, path):
     check_codable("model", stats.counts)  # load_ml_model refuses it; no file is made
     records = ("%s\t%d" % (m, stats.counts[m]) for m in sorted(stats.counts))
-    write_records(path, [ML_FORMAT, VERSION, "total=%d" % stats.total], records)
+    write_records(path, [ML_FORMAT, VERSION, *_ml_params(stats)], records)
 
 
 def load_ml_model(path):
     params, records = _read(path, ML_FORMAT, 2)
-    try:
-        total = _int(params["total"])
-    except (KeyError, ValueError):
-        raise ModelFormatError("%s: missing or bad total" % (path,)) from None
     counts = _table(path, records, "morph", _count)
     if not counts:
         raise ModelFormatError("%s: no morph records" % (path,))
@@ -233,8 +230,7 @@ def load_ml_model(path):
     # per-type usage is not part of the interchange format; loaded models
     # serve segmentation, training rebuilds usage from scratch
     stats = MorphStats(counts)
-    if stats.total != total:
-        raise ModelFormatError("%s: counts sum to %d, header says %d" % (path, stats.total, total))
+    _check_params(path, params, _ml_params(stats))
     return stats
 
 
@@ -247,7 +243,8 @@ def save_segmentation(segmentation, path):
 
 
 def load_segmentation(path):
-    _, records = _read(path, SEG_FORMAT, 2)
+    params, records = _read(path, SEG_FORMAT, 2)
+    _check_params(path, params, [])
 
     def parse(path, lineno, word, morph_field):
         morphs = morph_field.split(" ")
@@ -271,7 +268,8 @@ def save_word_counts(type_counts, path):
 
 
 def load_word_counts(path):
-    _, records = _read(path, COUNTS_FORMAT, 2)
+    params, records = _read(path, COUNTS_FORMAT, 2)
+    _check_params(path, params, [])
     return _table(path, records, "word", _count)
 
 

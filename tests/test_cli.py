@@ -255,19 +255,46 @@ def test_text_is_lowercased_for_train_and_segment(workdir, capsys):
     assert capsys.readouterr().out.split("\n")[1].split("\t")[0] == "cats"
 
 
-@pytest.mark.parametrize("command", ["train", "segment", "compare"])
-def test_no_subcommand_has_a_no_lowercase_option(workdir, capsys, command):
-    (workdir / "corpus.txt").unlink()  # an exit 3 would mean an input was read
-    missing = str(workdir / "missing.txt")
+# options morphseg no longer has, and the command lines that name them: the
+# corpus is gone and missing.tsv never existed, so an exit 3 would mean an input was read
+_REMOVED_OPTIONS = [
+    ("train-rec-mdl", ["--no-lowercase"]),  # every reader lowercases
+    ("segment", ["--no-lowercase"]),
+    ("compare", ["--no-lowercase"]),
+    ("train-seq-ml", ["--char-bits", "5"]),  # mdl.CHAR_BITS prices every codebook
+    ("compare", ["--char-bits", "5"]),
+    ("train-seq-ml", ["--no-reject"]),  # seq-ml training always rejects
+    ("compare", ["--no-reject"]),
+    ("train-rec-mdl", ["--dream-passes", "2"]),  # a dreaming event is one pass over the known words
+    ("compare", ["--dream-passes", "2"]),
+    ("train-seq-ml", ["--lambda", "5.5"]),  # segment lengths are Poisson with mean ml.INTERVAL_MEAN
+    ("compare", ["--lambda", "5.5"]),
+    # unseen pairs cost the largest fitted distance plus align.EXTRA_DISTANCE
+    ("eval", ["--max-distance", "25"]),
+    ("compare-gold", ["--max-distance", "25"]),
+    ("eval", ["--em-iterations", "3"]),  # eval fits distances with compare's alignment EM
+]
+
+
+@pytest.mark.parametrize(
+    "command, option", _REMOVED_OPTIONS, ids=[c + o[0] for c, o in _REMOVED_OPTIONS]
+)
+def test_a_removed_option_is_refused_before_any_input_is_read(workdir, capsys, command, option):
+    (workdir / "corpus.txt").unlink()
+    missing = str(workdir / "missing.tsv")
+    train = ["train", "--corpus", str(workdir / "corpus.txt"), "--model", str(workdir / "m"), "--method"]
     argv = {
-        "train": ["train", "--method", "rec-mdl", "--corpus", missing, "--model", str(workdir / "m")],
+        "train-rec-mdl": train + ["rec-mdl"],
+        "train-seq-ml": train + ["seq-ml"],
         "segment": ["segment", "--model", missing, "--words", missing, "--out", str(workdir / "o")],
+        "eval": _eval_argv(missing, missing, "--out", str(workdir / "metrics.json")),
         "compare": _compare_argv(workdir),
+        "compare-gold": _compare_argv(workdir, "--gold", str(workdir / "gold.tsv")),
     }[command]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--no-lowercase"])
+        main(argv + option)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --no-lowercase" in capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
     assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
 
 
@@ -450,6 +477,8 @@ def test_segment_rejects_non_model_files(workdir, capsys):
     no_chunks.write_text("morphseg-mdl v1 char_bits=5\n", encoding="utf-8")
     no_morphs = workdir / "no_morphs.model"
     no_morphs.write_text("morphseg-ml v1 total=0\n", encoding="utf-8")
+    junk = workdir / "junk.model"  # a header word save_mdl_model does not write
+    junk.write_text("morphseg-mdl v1 char_bits=5 junk=1\na\t0\t1\n", encoding="utf-8")
     out = workdir / "out.tsv"
     for model, message in [
         (seg_file, "%s: not a model file" % seg_file),
@@ -458,6 +487,7 @@ def test_segment_rejects_non_model_files(workdir, capsys):
         (bare, "%s: unsupported morphseg-mdl version 'morphseg-mdl'" % bare),
         (no_chunks, "%s: no chunk records" % no_chunks),
         (no_morphs, "%s: no morph records" % no_morphs),
+        (junk, "%s: header parameters ['char_bits=5', 'junk=1'], expected ['char_bits=5']" % junk),
     ]:
         argv = ["segment", "--model", str(model), "--words", str(words), "--out", str(out)]
         assert main(argv) == 3
@@ -711,15 +741,6 @@ def _eval_argv(seg_path, gold_path, *extra):
             "--gold", str(gold_path)] + list(extra)
 
 
-def test_eval_has_no_em_iterations_option(tmp_path, capsys):
-    # eval fits distances with compare's alignment EM settings, which have no option
-    missing = tmp_path / "missing.tsv"
-    with pytest.raises(SystemExit) as exc:
-        main(_eval_argv(missing, missing, "--em-iterations", "3"))
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --em-iterations 3" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "option, text, message",
     [
@@ -881,23 +902,6 @@ def test_seq_ml_training_always_uses_rejection(workdir, caplog):
     assert logged[-1][3] == 0
 
 
-@pytest.mark.parametrize("option", [["--char-bits", "5"], ["--no-reject"]], ids=["char-bits", "no-reject"])
-@pytest.mark.parametrize("command", ["train", "compare"])
-def test_train_and_compare_have_no_char_bits_or_no_reject_option(workdir, capsys, command, option):
-    # mdl.CHAR_BITS prices every codebook, and seq-ml training always rejects
-    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    argv = {
-        "train": ["train", "--method", "seq-ml", "--corpus", str(workdir / "corpus.txt"),
-                  "--model", str(workdir / "m")],
-        "compare": _compare_argv(workdir),
-    }[command]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + option)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
-    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
-
-
 def test_compare_without_gold_skips_alignment_rows(workdir, capsys):
     code = main(
         [
@@ -947,11 +951,11 @@ def test_compare_checks_seq_ml_options_before_training(workdir, monkeypatch):
 
 def test_compare_rejects_tags_without_gold_before_reading(workdir, capsys):
     (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    argv = ["compare", "--corpus", str(workdir / "corpus.txt"),
-            "--train-tokens", "400", "--test-tokens", "100", "--tags", str(workdir / "tags.txt")]
-    assert main(argv) == 2
-    assert main(argv + ["--out-dir", str(workdir / "run")]) == 2
-    assert capsys.readouterr().err.count("which needs --gold") == 2
+    argv = ["compare", "--corpus", str(workdir / "corpus.txt"), "--train-tokens", "400", "--test-tokens", "100"]
+    for tags in [str(workdir / "tags.txt"), ""]:  # "" is a path too, not an option not given
+        assert main(argv + ["--tags", tags]) == 2
+        assert main(argv + ["--tags", tags, "--out-dir", str(workdir / "run")]) == 2
+    assert capsys.readouterr().err.count("--tags applies to the alignment, which needs --gold") == 4
     assert not (workdir / "run").exists()
 
 
@@ -1077,6 +1081,30 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         assert kept.is_dir() and not any(kept.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("compare", "--gold"), ("compare", "--tags"), ("eval", "--tags"), ("eval", "--train-counts"),
+     ("eval", "--test-counts")],
+)
+def test_an_empty_input_path_names_no_file(workdir, capsys, monkeypatch, command, option):
+    # "" is a path, as it is for outputs, and not an option not given
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite an input that names no file")
+
+    monkeypatch.setattr(cli.mdl, "train_online", no_training)
+    monkeypatch.setattr(cli.ml, "train_em", no_training)
+    seg_path, gold_path = eval_fixture(workdir)
+    metrics = workdir / "metrics.json"
+    argv = {  # the later of two --gold options counts
+        "compare": _compare_argv(workdir, "--gold", str(workdir / "gold.tsv")),
+        "eval": _eval_argv(seg_path, gold_path, "--out", str(metrics)),
+    }[command]
+    assert main(argv + [option, ""]) == 3
+    assert "No such file or directory: ''" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("method", ["rec_mdl", "seq_ml"])
 def test_eval_does_not_depend_on_the_line_order_of_its_files(workdir, method):
     common = ["--gold", str(workdir / "gold.tsv"), "--tags", str(workdir / "tags.txt")]
@@ -1194,62 +1222,19 @@ def test_empty_alphabet_is_a_usage_error(workdir, capsys):
     assert capsys.readouterr().err.count("error: alphabet must not be empty") == 2
 
 
-@pytest.mark.parametrize("option", ["--dream-interval"])
-def test_negative_dreaming_settings_are_usage_errors(workdir, option):
+def test_a_negative_dream_interval_is_a_usage_error(workdir):
     code = main(
         [
             "train", "--method", "rec-mdl",
             "--corpus", str(workdir / "corpus.txt"),
             "--model", str(workdir / "m"),
-            option, "-5",
+            "--dream-interval", "-5",
         ]
     )
     assert code == 2
     assert not (workdir / "m").exists()
-    assert main(_compare_argv(workdir, option, "-1")) == 2
+    assert main(_compare_argv(workdir, "--dream-interval", "-1")) == 2
     assert not (workdir / "run").exists()
-
-
-def test_dreaming_has_no_passes_option(workdir, capsys):
-    # each dreaming event is one pass over the known words
-    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    train = ["train", "--method", "rec-mdl", "--corpus", str(workdir / "corpus.txt"),
-             "--model", str(workdir / "m")]
-    for argv in (train, _compare_argv(workdir)):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--dream-passes", "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --dream-passes 2" in capsys.readouterr().err
-    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
-
-
-def test_seq_ml_has_no_lambda_option(workdir, capsys):
-    # random segment lengths are Poisson with mean ml.INTERVAL_MEAN
-    (workdir / "corpus.txt").unlink()  # an exit 3 would mean the corpus was read
-    train = ["train", "--method", "seq-ml", "--corpus", str(workdir / "corpus.txt"),
-             "--model", str(workdir / "m")]
-    for argv in (train, _compare_argv(workdir)):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--lambda", "5.5"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --lambda 5.5" in capsys.readouterr().err
-    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
-
-
-@pytest.mark.parametrize("command", ["eval", "compare"])
-def test_alignment_fit_has_no_max_distance_option(workdir, capsys, command):
-    # unseen pairs cost the largest fitted distance plus align.EXTRA_DISTANCE
-    (workdir / "corpus.txt").unlink()  # an exit 3 would mean an input was read
-    missing = workdir / "missing.tsv"
-    argv = {
-        "eval": _eval_argv(missing, missing, "--out", str(workdir / "metrics.json")),
-        "compare": _compare_argv(workdir, "--gold", str(workdir / "gold.tsv")),
-    }[command]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--max-distance", "25"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-distance 25" in capsys.readouterr().err
-    assert sorted(os.listdir(workdir)) == ["gold.tsv", "tags.txt"]
 
 
 @pytest.mark.parametrize("char_bits", ["0", "-1"])

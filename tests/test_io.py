@@ -64,6 +64,11 @@ def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _params_refused(found, expected):
+    """The message, as a regex, of a header with the parameters found where its writer writes expected."""
+    return re.escape("header parameters %r, expected %r" % (found, expected))
+
+
 def test_mdl_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v0 char_bits=5", "a\t0\t1"])
@@ -130,13 +135,10 @@ def test_mdl_load_rejects_impossible_flow(tmp_path):
 def test_mdl_load_requires_char_bits(tmp_path):
     # save_mdl_model writes char_bits=5 and nothing else; any other header is refused
     path = tmp_path / "m.model"
-    for header in ["morphseg-mdl v1"] + ["morphseg-mdl v1 char_bits=" + v for v in ["4", "6", "1000000000"]]:
-        _write_lines(path, [header, "a\t0\t1"])
-        with pytest.raises(ModelFormatError, match="missing or bad char_bits"):
+    for params in [[], ["char_bits=4"], ["char_bits=6"], ["char_bits=1000000000"], ["char_bits"]]:
+        _write_lines(path, [" ".join(["morphseg-mdl", "v1", *params]), "a\t0\t1"])
+        with pytest.raises(ModelFormatError, match=_params_refused(params, ["char_bits=5"])):
             io.load_mdl_model(path)
-    _write_lines(path, ["morphseg-mdl v1 char_bits", "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match="bad header parameter 'char_bits'"):
-        io.load_mdl_model(path)
 
 
 @pytest.mark.parametrize("char_bits", ["0", "-3"])
@@ -172,7 +174,8 @@ def test_mdl_load_rejects_characters_char_bits_cannot_code(tmp_path, char_bits, 
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=" + char_bits] + [c + "\t0\t1" for c in chunks])
     if char_bits != "5":
-        with pytest.raises(ModelFormatError, match="missing or bad char_bits"):
+        refused = _params_refused(["char_bits=" + char_bits], ["char_bits=5"])
+        with pytest.raises(ModelFormatError, match=refused):
             io.load_mdl_model(path)
     elif len(chunks) <= 32:
         assert sorted(io.load_mdl_model(path).chunks) == chunks
@@ -237,12 +240,10 @@ def test_ml_roundtrip(tmp_path):
 
 def test_ml_load_checks_total(tmp_path):
     path = tmp_path / "m.model"
-    _write_lines(path, ["morphseg-ml v1 total=9", "a\t3", "b\t2"])
-    with pytest.raises(ModelFormatError, match="header says 9"):
-        io.load_ml_model(path)
-    for header in ["morphseg-ml v1", "morphseg-ml v1 total=5.0"]:
-        _write_lines(path, [header, "a\t3", "b\t2"])
-        with pytest.raises(ModelFormatError, match="missing or bad total"):
+    # the counts sum to 5, the total save_ml_model writes for them
+    for params in [["total=9"], [], ["total=5.0"]]:
+        _write_lines(path, [" ".join(["morphseg-ml", "v1", *params]), "a\t3", "b\t2"])
+        with pytest.raises(ModelFormatError, match=_params_refused(params, ["total=5"])):
             io.load_ml_model(path)
 
 
@@ -407,26 +408,25 @@ def test_loaders_read_integer_fields_only_as_save_writes_them(tmp_path, load, li
 def test_model_headers_read_integers_only_as_save_writes_them(tmp_path, value):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=" + value, "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match="missing or bad char_bits"):
+    with pytest.raises(ModelFormatError, match=_params_refused(["char_bits=" + value], ["char_bits=5"])):
         io.load_mdl_model(path)
     _write_lines(path, ["morphseg-ml v1 total=" + value, "a\t5"])
-    with pytest.raises(ModelFormatError, match="missing or bad total"):
+    with pytest.raises(ModelFormatError, match=_params_refused(["total=" + value], ["total=5"])):
         io.load_ml_model(path)
 
 
 @pytest.mark.parametrize(
-    "lines, load",
+    "lines, load, expected",
     [
-        (["morphseg-mdl v1 char_bits=5 char_bits=6", "a\t0\t1"], io.load_mdl_model),
-        (["morphseg-ml v1 total=1 total=1", "a\t1"], io.load_ml_model),
+        (["morphseg-mdl v1 char_bits=5 char_bits=6", "a\t0\t1"], io.load_mdl_model, ["char_bits=5"]),
+        (["morphseg-ml v1 total=1 total=1", "a\t1"], io.load_ml_model, ["total=1"]),
     ],
     ids=["mdl", "ml"],
 )
-def test_model_headers_reject_a_repeated_key(tmp_path, lines, load):
+def test_model_headers_reject_a_repeated_key(tmp_path, lines, load, expected):
     path = tmp_path / "m.model"
     _write_lines(path, lines)
-    repeated = lines[0].rsplit(" ", 1)[1]
-    with pytest.raises(ModelFormatError, match="bad header parameter '%s'" % repeated):
+    with pytest.raises(ModelFormatError, match=_params_refused(lines[0].split(" ")[2:], expected)):
         load(path)
 
 
@@ -498,7 +498,7 @@ def test_load_model_rejects_files_that_are_not_models(tmp_path):
             io.load_model(path)
 
 
-# -- line ends ---------------------------------------------------------------
+# -- headed files ------------------------------------------------------------
 
 
 _HEADED_FILES = {
@@ -507,7 +507,7 @@ _HEADED_FILES = {
         io.load_mdl_model,
         lambda corpus: train_online(corpus, dream_interval=4),
     ),
-    "ml": (io.save_ml_model, io.load_ml_model, lambda corpus: MorphStats({"cat": 2, "s": 1})),
+    "ml": (io.save_ml_model, io.load_ml_model, lambda corpus: MorphStats({"cat": 3, "s": 2})),
     "seg": (
         io.save_segmentation,
         io.load_segmentation,
@@ -516,6 +516,44 @@ _HEADED_FILES = {
     "counts": (io.save_word_counts, io.load_word_counts, lambda corpus: corpus.type_counts),
     "curve": (io.write_cost_curve, io.read_cost_curve, lambda corpus: [(2000, 11.6), (2500, 10.5)]),
 }
+
+
+@pytest.mark.parametrize(
+    "kind, header",
+    [
+        pytest.param("mdl", "morphseg-mdl v1 char_bits=5", id="mdl-written"),
+        pytest.param("mdl", "morphseg-mdl v1 char_bits=5 junk=1", id="mdl-extra-word"),
+        pytest.param("mdl", "morphseg-mdl v1 junk=1 char_bits=5", id="mdl-extra-first-word"),
+        pytest.param("mdl", "morphseg-mdl v1 char_bits=5 char_bits=5", id="mdl-repeated"),
+        pytest.param("mdl", "morphseg-mdl v1", id="mdl-missing"),
+        pytest.param("mdl", "morphseg-mdl v1 char_bits=05", id="mdl-respelled"),
+        pytest.param("ml", "morphseg-ml v1 total=5", id="ml-written"),  # 3 + 2 morph tokens
+        pytest.param("ml", "morphseg-ml v1 total=5 zz=9", id="ml-extra-word"),
+        pytest.param("ml", "morphseg-ml v1 total=5 char_bits=5", id="ml-extra-mdl-word"),
+        pytest.param("ml", "morphseg-ml v1 total=5 total=5", id="ml-repeated"),
+        pytest.param("ml", "morphseg-ml v1", id="ml-missing"),
+        pytest.param("ml", "morphseg-ml v1 total=+5", id="ml-respelled-sign"),
+        pytest.param("ml", "morphseg-ml v1 total=5.0", id="ml-respelled-float"),
+        pytest.param("seg", "morphseg-seg v1", id="seg-written"),
+        pytest.param("seg", "morphseg-seg v1 foo=bar", id="seg-extra-word"),
+        pytest.param("seg", "morphseg-seg v1 ", id="seg-extra-empty-word"),
+        pytest.param("counts", "morphseg-counts v1", id="counts-written"),
+        pytest.param("counts", "morphseg-counts v1 x=", id="counts-extra-word"),
+        pytest.param("counts", "morphseg-counts v1 total=5", id="counts-extra-ml-word"),
+    ],
+)
+def test_headed_files_load_only_under_the_header_their_writer_writes(tmp_path, tiny_corpus, kind, header):
+    save, load, make = _HEADED_FILES[kind]
+    path = tmp_path / "f"
+    save(make(tiny_corpus), path)
+    written, records = path.read_text(encoding="utf-8").split("\n", 1)
+    if header == written:
+        assert load(path)
+        return
+    path.write_text(header + "\n" + records, encoding="utf-8")
+    refused = _params_refused(header.split(" ")[2:], written.split(" ")[2:])
+    with pytest.raises(ModelFormatError, match=refused):
+        load(path)
 
 
 @pytest.mark.parametrize(

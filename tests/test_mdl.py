@@ -104,11 +104,10 @@ def test_segment_word_returns_the_stores_leaf_texts(tiny_corpus):
     assert split  # some morphs come from inside a split word
 
 
-@pytest.mark.parametrize("field", ["dream_interval"])
-def test_negative_dreaming_settings_are_rejected(tiny_corpus, field):
+def test_a_negative_dream_interval_is_rejected(tiny_corpus):
     with pytest.raises(ValueError, match="dream interval must not be negative"):
-        train_online(tiny_corpus, **{field: -1})
-    train_online(tiny_corpus, **{field: 0})  # an interval of 0 disables dreaming
+        train_online(tiny_corpus, dream_interval=-1)
+    train_online(tiny_corpus, dream_interval=0)  # an interval of 0 disables dreaming
 
 
 def test_tracked_cost_matches_scratch(tiny_corpus):
