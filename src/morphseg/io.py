@@ -9,12 +9,12 @@ than its writer's, word for word, fails the load without partial state.
     morphseg-seg v1                   word<TAB>morph1 morph2 ...
 
 Every file morphseg writes goes through ``output``, and every file it
-reads through ``reading``.
+reads through ``reading``; every headed file it reads, through ``_load``.
+The cost curve, a CSV file, is written only.
 """
 
 import contextlib
 import itertools
-import math
 import sys
 
 from .errors import ModelFormatError, MorphsegError
@@ -73,52 +73,39 @@ def write_records(path, header_parts, records):
     write_lines(path, itertools.chain([" ".join(header_parts)], records))
 
 
-def _lines(path):
-    """The lines of a text file, without the final line end."""
+def _load(path, fmt, n_fields, what, parse, params=lambda table: []):
+    """The dict of the (key, value) pairs parse(path, lineno, *fields) makes
+    of the records of the fmt file at path. Checked in this order: the
+    format, the version, then each record in file order (n_fields TAB
+    fields, parse, a key that is one word, not seen before), then the
+    header's remaining words, which must be params(table) word for word."""
     with reading(path) as f:
         lines = f.read().split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    return lines
-
-
-def _records(path, lines, n_fields, sep):
-    """(line number, sep-separated fields) of each record; lines start at file line 2."""
-    for lineno, line in enumerate(lines, start=2):
-        fields = line.split(sep)
-        if len(fields) != n_fields:
-            raise ModelFormatError("%s line %d: expected %d fields" % (path, lineno, n_fields))
-        yield lineno, fields
-
-
-def _read(path, expected_format, n_fields):
-    """The header words after format and version, and the (line number, fields) records."""
-    lines = _lines(path)
     if not lines:
         raise ModelFormatError("%s: empty file" % (path,))
     head = lines[0].split(" ")
-    if head[0] != expected_format:
-        raise ModelFormatError("%s: expected a %s file, found %r" % (path, expected_format, lines[0]))
+    if head[0] != fmt:
+        raise ModelFormatError("%s: expected a %s file, found %r" % (path, fmt, lines[0]))
     if len(head) < 2 or head[1] != VERSION:
-        raise ModelFormatError("%s: unsupported %s version %r" % (path, expected_format, lines[0]))
-    return head[2:], _records(path, lines[1:], n_fields, "\t")
-
-
-def _check_params(path, params, expected):
-    """Refuse a header whose parameters are not word for word the ones its writer writes."""
-    if params != expected:
-        raise ModelFormatError("%s: header parameters %r, expected %r" % (path, params, expected))
-
-
-def _table(path, records, what, parse):
-    """Dict of the (key, value) pairs parse(path, lineno, *fields) makes of
-    each record; a key seen before is an error."""
+        raise ModelFormatError("%s: unsupported %s version %r" % (path, fmt, lines[0]))
     table = {}
-    for lineno, fields in records:
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ModelFormatError("%s line %d: expected %d fields" % (path, lineno, n_fields))
         key, value = parse(path, lineno, *fields)
+        if key.split() != [key]:  # every writer's keys are str.split() tokens
+            raise ModelFormatError(
+                "%s line %d: invalid record: %s %r is not one word" % (path, lineno, what, key)
+            )
         if key in table:
             raise ModelFormatError("%s line %d: duplicate %s %r" % (path, lineno, what, key))
         table[key] = value
+    expected = params(table)
+    if head[2:] != expected:
+        raise ModelFormatError("%s: header parameters %r, expected %r" % (path, head[2:], expected))
     return table
 
 
@@ -129,21 +116,13 @@ def _int(text):
     return int(text)
 
 
-def _float(text):
-    """float(text) if text is finite and in the repr form write_cost_curve writes, else ValueError."""
-    value = float(text)
-    if not math.isfinite(value) or repr(value) != text:  # float() also reads "nan", "1e400", "2_5.0"
-        raise ValueError(text)
-    return value
-
-
 def _count(path, lineno, key, count_s):
-    """A key<TAB>count record: key non-empty, count at least 1."""
+    """A key<TAB>count record: count at least 1."""
     try:
         count = _int(count_s)
     except ValueError:
         raise ModelFormatError("%s line %d: non-integer count" % (path, lineno)) from None
-    if not key or count < 1:
+    if count < 1:
         raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
     return key, count
 
@@ -185,19 +164,16 @@ def save_mdl_model(store, path):
 
 
 def load_mdl_model(path):
-    params, records = _read(path, MDL_FORMAT, 3)
-    _check_params(path, params, MDL_PARAMS)
-
     def parse(path, lineno, text, split_s, count_s):
         try:
             split, count = _int(split_s), _int(count_s)
         except ValueError:
             raise ModelFormatError("%s line %d: non-integer field" % (path, lineno)) from None
-        if not text or count < 1 or not 0 <= split < len(text):
+        if count < 1 or not 0 <= split < len(text):
             raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
         return text, Chunk(text, count, split)
 
-    chunks = _table(path, records, "chunk", parse)
+    chunks = _load(path, MDL_FORMAT, 3, "chunk", parse, lambda chunks: MDL_PARAMS)
     if not chunks:
         raise ModelFormatError("%s: no chunk records" % (path,))
     try:
@@ -207,20 +183,19 @@ def load_mdl_model(path):
         raise ModelFormatError("%s: %s" % (path, exc)) from None
 
 
-def _ml_params(stats):
-    """What save_ml_model writes for stats, all load_ml_model reads for them."""
-    return ["total=%d" % stats.total]
+def _ml_params(counts):
+    """What save_ml_model writes for counts, all load_ml_model reads for them."""
+    return ["total=%d" % sum(counts.values())]
 
 
 def save_ml_model(stats, path):
     check_codable("model", stats.counts)  # load_ml_model refuses it; no file is made
     records = ("%s\t%d" % (m, stats.counts[m]) for m in sorted(stats.counts))
-    write_records(path, [ML_FORMAT, VERSION, *_ml_params(stats)], records)
+    write_records(path, [ML_FORMAT, VERSION, *_ml_params(stats.counts)], records)
 
 
 def load_ml_model(path):
-    params, records = _read(path, ML_FORMAT, 2)
-    counts = _table(path, records, "morph", _count)
+    counts = _load(path, ML_FORMAT, 2, "morph", _count, _ml_params)
     if not counts:
         raise ModelFormatError("%s: no morph records" % (path,))
     try:
@@ -229,9 +204,7 @@ def load_ml_model(path):
         raise ModelFormatError("%s: %s" % (path, exc)) from None
     # per-type usage is not part of the interchange format; loaded models
     # serve segmentation, training rebuilds usage from scratch
-    stats = MorphStats(counts)
-    _check_params(path, params, _ml_params(stats))
-    return stats
+    return MorphStats(counts)
 
 
 # -- segmentations -------------------------------------------------------
@@ -243,12 +216,9 @@ def save_segmentation(segmentation, path):
 
 
 def load_segmentation(path):
-    params, records = _read(path, SEG_FORMAT, 2)
-    _check_params(path, params, [])
-
     def parse(path, lineno, word, morph_field):
         morphs = morph_field.split(" ")
-        if not word or not all(morphs):
+        if not all(morphs):
             raise ModelFormatError("%s line %d: empty word or morph" % (path, lineno))
         if "".join(morphs) != word:
             raise ModelFormatError(
@@ -256,10 +226,10 @@ def load_segmentation(path):
             )
         return word, morphs
 
-    return _table(path, records, "word", parse)
+    return _load(path, SEG_FORMAT, 2, "word", parse)
 
 
-# -- word counts, curves ----------------------------------------------------
+# -- word counts, cost curves --------------------------------------------
 
 
 def save_word_counts(type_counts, path):
@@ -268,24 +238,9 @@ def save_word_counts(type_counts, path):
 
 
 def load_word_counts(path):
-    params, records = _read(path, COUNTS_FORMAT, 2)
-    _check_params(path, params, [])
-    return _table(path, records, "word", _count)
+    return _load(path, COUNTS_FORMAT, 2, "word", _count)
 
 
 def write_cost_curve(curve, path):
     rows = ("%d,%s" % (tokens, repr(avg)) for tokens, avg in curve)
     write_records(path, [CURVE_HEADER], rows)
-
-
-def read_cost_curve(path):
-    lines = _lines(path)
-    if not lines or lines[0] != CURVE_HEADER:
-        raise ModelFormatError("%s: not a cost-curve file" % (path,))
-    out = []
-    for lineno, (tokens_s, avg_s) in _records(path, lines[1:], 2, ","):
-        try:
-            out.append((_int(tokens_s), _float(avg_s)))
-        except ValueError:
-            raise ModelFormatError("%s line %d: bad row" % (path, lineno)) from None
-    return out

@@ -21,6 +21,14 @@ def logged_args(caplog, logger):
     return [r.args for r in caplog.records if r.name == logger and r.levelno == logging.INFO]
 
 
+def curve_rows(path):
+    """The rows of a cost-curve file, each parsed with int() and float(),
+    after checking its header."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "tokens_processed,avg_word_cost_bits"
+    return [(int(tokens), float(avg)) for tokens, avg in (row.split(",") for row in rows)]
+
+
 @pytest.fixture
 def tiny_corpus():
     return Corpus.from_tokens(

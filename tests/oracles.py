@@ -93,7 +93,7 @@ def traced_flat_cost(store):
 
     Ignores all stored counts: segments every known word, tallies morph
     tokens weighted by how often the word was fed in, and prices the
-    result as a flat lexicon. Agreement with tracked_cost, which prices
+    result as a flat lexicon. Agreement with total_cost(), which prices
     the stored leaf counts, checks the count flow.
     """
     counts = {}

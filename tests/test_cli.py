@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import logged_args
+from conftest import curve_rows, logged_args
 from morphseg import cli, io, mdl, ml, report, synth
 from morphseg.cli import build_parser, main
 from morphseg.corpus import read_corpus, split_corpus
@@ -73,8 +73,11 @@ def test_train_rec_mdl(workdir):
     store = io.load_mdl_model(model)
     store.check_integrity()
     assert sum(store.word_counts.values()) == 1200
-    curve = io.read_cost_curve(workdir / "curve.csv")
+    curve = []
+    corpus = read_corpus(workdir / "corpus.txt")
+    mdl.train_online(corpus, dream_interval=500, rng=random.Random(42), curve=curve)
     assert curve and curve[-1][0] == 1200
+    assert curve_rows(workdir / "curve.csv") == curve
 
 
 def test_train_respects_token_budget(workdir):
@@ -825,7 +828,10 @@ def test_compare_pipeline(workdir, capsys):
     reports = read_metrics(out_dir / "report.json")
     assert [r.method for r in reports] == ["rec-mdl", "seq-ml"]
     assert all(r.alignment_distance_bits is not None for r in reports)
-    assert io.read_cost_curve(workdir / "curve.csv")
+    train, _ = split_corpus(read_corpus(workdir / "corpus.txt"), 900, 300)
+    curve = []
+    mdl.train_online(train, dream_interval=400, rng=random.Random(42), curve=curve)
+    assert curve and curve_rows(workdir / "curve.csv") == curve
     raw = (out_dir / "report.json").read_bytes()
     assert raw.decode("utf-8").count("\n") == 2 and b"\r" not in raw
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -28,3 +29,17 @@ def test_importing_every_module_loads_only_the_standard_library():
     loaded = json.loads(result.stdout)
     assert "morphseg" in loaded
     assert [m for m in loaded if m != "morphseg" and m not in sys.stdlib_module_names] == []
+
+
+def test_every_name_a_module_imports_is_used_in_it():
+    unused = []
+    for path in sorted((SRC / "morphseg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]  # import a.b binds a
+                    if name not in used:
+                        unused.append("%s line %d: %s" % (path.name, node.lineno, name))
+    assert unused == []

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import curve_rows
 from morphseg import io
 from morphseg.errors import ModelFormatError, MorphsegError
 from morphseg.mdl import ChunkStore, train_online
@@ -37,7 +38,7 @@ def test_mdl_roundtrip(tmp_path, tiny_corpus):
     loaded = io.load_mdl_model(path)
     assert loaded == store
     assert loaded.word_counts == store.word_counts
-    assert loaded.tracked_cost == pytest.approx(store.tracked_cost, rel=1e-12)
+    assert loaded.total_cost() == pytest.approx(store.total_cost(), rel=1e-12)
     loaded.check_integrity()
     # a loaded store keeps training
     loaded.process_word("catslike")
@@ -50,7 +51,7 @@ def test_mdl_single_leaf_roundtrip_is_exact(tmp_path):
     store.process_word("a")
     store.process_word("a")
     io.save_mdl_model(store, path)
-    assert io.load_mdl_model(path).tracked_cost == store.tracked_cost
+    assert io.load_mdl_model(path).total_cost() == store.total_cost()
 
 
 def test_mdl_save_is_deterministic(tmp_path, tiny_corpus):
@@ -247,6 +248,24 @@ def test_ml_load_checks_total(tmp_path):
             io.load_ml_model(path)
 
 
+@pytest.mark.parametrize(
+    "load, lines, what",
+    [
+        (io.load_word_counts, ["morphseg-counts v1", "a b\t3"], "word 'a b'"),
+        (io.load_ml_model, ["morphseg-ml v1 total=3", "a b\t3"], "morph 'a b'"),
+        (io.load_mdl_model, ["morphseg-mdl v1 char_bits=5", "a b\t0\t3"], "chunk 'a b'"),
+        (io.load_segmentation, ["morphseg-seg v1", "\xa0x\t\xa0x"], "word '\\xa0x'"),
+    ],
+    ids=["counts", "ml", "mdl", "seg"],
+)
+def test_loaders_refuse_a_key_that_is_not_one_word(tmp_path, load, lines, what):
+    # every writer's keys are str.split() tokens: non-empty, without whitespace
+    path = tmp_path / "f"
+    _write_lines(path, lines)
+    with pytest.raises(ModelFormatError, match=re.escape("f line 2: invalid record: %s is not one word" % what)):
+        load(path)
+
+
 def test_ml_load_rejects_bad_records(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-ml v1 total=1", "a\tone"])
@@ -353,31 +372,11 @@ def test_word_counts_rejects_invalid_records(tmp_path, records, message):
 def test_cost_curve_roundtrip(tmp_path):
     path = tmp_path / "curve.csv"
     curve = [(2000, 11.612648), (4000, 10.81), (5000, 10.128027379314801)]
-    io.write_cost_curve(curve, path)
-    assert io.read_cost_curve(path) == curve
-    assert path.read_text(encoding="utf-8").startswith(
-        "tokens_processed,avg_word_cost_bits\n"
+    io.write_cost_curve(curve, path)  # no command reads it back; the text is the contract
+    assert path.read_bytes() == (
+        b"tokens_processed,avg_word_cost_bits\n2000,11.612648\n4000,10.81\n5000,10.128027379314801\n"
     )
-
-
-def test_cost_curve_rejects_foreign_files(tmp_path):
-    path = tmp_path / "curve.csv"
-    path.write_text("a,b\n1,2\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError):
-        io.read_cost_curve(path)
-
-
-# float() reads each of the last five averages (as 25.0, nan, -inf, inf and
-# 2.5), but write_cost_curve writes only finite values in repr form
-@pytest.mark.parametrize(
-    "row",
-    ["2000,1.5,7", "x,1.5", "2000,fast", "2000, 2_5.0", "2000,nan", "2000,-inf", "2000,1e400", "2000,2.50"],
-)
-def test_cost_curve_rejects_malformed_rows(tmp_path, row):
-    path = tmp_path / "curve.csv"
-    _write_lines(path, ["tokens_processed,avg_word_cost_bits", "1000,2.5", row])
-    with pytest.raises(ModelFormatError, match="curve.csv line 3"):
-        io.read_cost_curve(path)
+    assert curve_rows(path) == curve
 
 
 # forms int() reads that "%d" never writes: an underscore, a sign, blanks,
@@ -393,9 +392,8 @@ _NOT_D_FORMS = ["1_000", "+6", " 7", "7 ", "07", "-0", "\u0665"]
         (io.load_ml_model, ["morphseg-ml v1 total=5", "a\t%s"], "line 2: non-integer count"),
         (io.load_mdl_model, ["morphseg-mdl v1 char_bits=5", "a\t0\t%s"], "line 2: non-integer field"),
         (io.load_mdl_model, ["morphseg-mdl v1 char_bits=5", "a\t%s\t1"], "line 2: non-integer field"),
-        (io.read_cost_curve, ["tokens_processed,avg_word_cost_bits", "%s,2.5"], "line 2: bad row"),
     ],
-    ids=["counts", "ml-count", "mdl-count", "mdl-split", "curve-tokens"],
+    ids=["counts", "ml-count", "mdl-count", "mdl-split"],
 )
 def test_loaders_read_integer_fields_only_as_save_writes_them(tmp_path, load, lines, message, form):
     path = tmp_path / "f"
@@ -514,7 +512,6 @@ _HEADED_FILES = {
         lambda corpus: {"cats": ["cat", "s"], "dog": ["dog"]},
     ),
     "counts": (io.save_word_counts, io.load_word_counts, lambda corpus: corpus.type_counts),
-    "curve": (io.write_cost_curve, io.read_cost_curve, lambda corpus: [(2000, 11.6), (2500, 10.5)]),
 }
 
 
