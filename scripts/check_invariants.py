@@ -5,12 +5,13 @@
 
 demo is make_corpus.py's 40k-token seed-1 corpus, split 30k/10k; long-words
 is perfbench/inputs.py's 6k-token seed-0 one, split 4.8k/1.2k. One pipeline
-(compare, train and segment with both methods, eval in file order, on
-shuffled records and with the split's count files) runs `python -m
-morphseg.cli` from src/ under PYTHONHASHSEED 0 and 7, and on byte-order-mark
-copies of the inputs. Checks:
-- the three runs write byte-identical trees, compare's table included;
-- train writes compare's models and cost curve;
+(compare, train with both methods and rec-mdl's cost curve, segment with
+both methods, eval in file order, on shuffled records and with the split's
+count files) runs `python -m morphseg.cli` from src/ under PYTHONHASHSEED 0
+and 7, and on byte-order-mark copies of the inputs. Checks:
+- the three runs write byte-identical trees, compare's table and train's
+  cost curve included;
+- train writes compare's models;
 - segment with the seq-ml model writes compare's seq_ml.test_seg.tsv;
 - eval of shuffled records gives file order's metrics and dump;
 - eval with count files gives report.json's alignment fields exactly.
@@ -51,7 +52,7 @@ def pipeline(inp, d, hashseed, n_train, n_test):
     cli, out = [hashseed, "-m", "morphseg.cli"], d / "out"
     split = ["--corpus", corpus, "--train-tokens", n_train]
     table = run(*cli, "compare", *split, "--test-tokens", n_test, "--gold", gold, "--tags", tags,
-                "--out-dir", out, "--cost-curve", out / "curve.csv")  # compare makes d and out
+                "--out-dir", out)  # compare makes d and out
     (d / "table.txt").write_text(table, "utf-8")
     for part, words in zip(["train", "test"], split_corpus(read_corpus(corpus), n_train, n_test)):
         io.save_word_counts(words.type_counts, d / f"{part}.counts")
@@ -99,7 +100,7 @@ def main():
     d0 = top / "hashseed0"
     expected = pipeline(inp, d0, 0, n_train, n_test)
     pairs = [("train and compare", d0 / "out" / name, d0 / f"train.{name}")
-             for name in ("rec_mdl.model", "seq_ml.model", "curve.csv")]
+             for name in ("rec_mdl.model", "seq_ml.model")]
     pairs.append(("segment and compare", d0 / "out/seq_ml.test_seg.tsv", d0 / "segment.seq_ml.tsv"))
     pairs += [("shuffled eval", d0 / f"eval.{m}.file.{ext}", d0 / f"eval.{m}.shuffled.{ext}")
               for m in METHODS for ext in ("json", "tsv")]

@@ -82,7 +82,6 @@ def build_parser():
     p_cmp.add_argument("--test-tokens", type=int, required=True)
     p_cmp.add_argument("--gold", help="reference analyses TSV")
     p_cmp.add_argument("--tags", help="file of tags to keep")
-    p_cmp.add_argument("--cost-curve", help="write the rec-mdl cost curve CSV")
     p_cmp.add_argument("--out-dir", help="write models, segmentations and report here")
     _add_method_options(p_cmp)
     return parser
@@ -137,13 +136,12 @@ def _check_output_dirs(paths, inputs, made_dir=None):
         seen.add(resolved)
 
 
-def _train(method, args, corpus):
-    """(model, training segmentation or None, cost curve or None); the curve
-    is rec-mdl's, kept when --cost-curve is given. Writes no file.
+def _train(method, args, corpus, curve=None):
+    """(model, training segmentation or None); rec-mdl appends its cost curve
+    to curve if given. Writes no file.
     Logs one INFO record, args (method, tokens, morphs, bits of build_report,
     seconds spent in the training call)."""
     segmentation = None
-    curve = [] if args.cost_curve is not None and method == "rec-mdl" else None
     rng = random.Random(args.seed)
     start = time.perf_counter()
     if method == "rec-mdl":
@@ -157,7 +155,7 @@ def _train(method, args, corpus):
         "%s trained on %d tokens: %d morphs, %.1f bits, %.1f s",
         method, len(corpus), row.codebook_morphs, row.total_cost_bits, seconds,
     )
-    return model, segmentation, curve
+    return model, segmentation
 
 
 def cmd_train(args):
@@ -168,7 +166,8 @@ def cmd_train(args):
     corpus = read_corpus(args.corpus, alphabet)
     if args.train_tokens is not None:
         (corpus,) = split_corpus(corpus, args.train_tokens)
-    model, _, curve = _train(args.method, args, corpus)
+    curve = [] if args.cost_curve is not None else None
+    model, _ = _train(args.method, args, corpus, curve)
     io.save_model(model, args.model)
     if curve is not None:
         io.write_cost_curve(curve, args.cost_curve)
@@ -313,7 +312,7 @@ def _compare_outputs(out_dir):
 def _compare_method(method, args, train, test, gold, files):
     """Report row of one method, its _compare_outputs files written if given;
     its model, segmentations and evaluation die with this call, before the next method runs."""
-    model, train_seg, curve = _train(method, args, train)
+    model, train_seg = _train(method, args, train)
     if method == "rec-mdl":
         train_seg = _segment_types(model, train)  # every type is known: the store is unchanged
     table = evaluation = None
@@ -323,8 +322,6 @@ def _compare_method(method, args, train, test, gold, files):
     if model_path:
         model_path.parent.mkdir(parents=True, exist_ok=True)  # made at the first write
         io.save_model(model, model_path)
-    if curve is not None:  # after the model, so that it may name a file in the new --out-dir
-        io.write_cost_curve(curve, args.cost_curve)
     if method == "rec-mdl":
         test_seg = _segment_types(model, test)  # adapts the store to unseen words
     else:
@@ -343,7 +340,7 @@ def cmd_compare(args):
     if args.gold is None and args.tags is not None:
         raise ValueError("--tags applies to the alignment, which needs --gold")
     files, report_path = ({}, None) if args.out_dir is None else _compare_outputs(Path(args.out_dir))
-    outputs = [*sum(files.values(), []), report_path, args.cost_curve]
+    outputs = [*sum(files.values(), []), report_path]
     _check_output_dirs(outputs, [args.corpus, args.gold, args.tags], args.out_dir)
     train, test = split_corpus(read_corpus(args.corpus, alphabet), args.train_tokens, args.test_tokens)
 

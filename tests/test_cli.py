@@ -276,6 +276,7 @@ _REMOVED_OPTIONS = [
     ("eval", ["--max-distance", "25"]),
     ("compare-gold", ["--max-distance", "25"]),
     ("eval", ["--em-iterations", "3"]),  # eval fits distances with compare's alignment EM
+    ("compare", ["--cost-curve", "curve.csv"]),  # train --cost-curve writes the rec-mdl cost curve
 ]
 
 
@@ -802,7 +803,6 @@ def test_compare_pipeline(workdir, capsys):
             "--dream-interval", "400",
             "--iterations", "4",
             "--out-dir", str(out_dir),
-            "--cost-curve", str(workdir / "curve.csv"),
         ]
     )
     assert code == 0
@@ -828,10 +828,6 @@ def test_compare_pipeline(workdir, capsys):
     reports = read_metrics(out_dir / "report.json")
     assert [r.method for r in reports] == ["rec-mdl", "seq-ml"]
     assert all(r.alignment_distance_bits is not None for r in reports)
-    train, _ = split_corpus(read_corpus(workdir / "corpus.txt"), 900, 300)
-    curve = []
-    mdl.train_online(train, dream_interval=400, rng=random.Random(42), curve=curve)
-    assert curve and curve_rows(workdir / "curve.csv") == curve
     raw = (out_dir / "report.json").read_bytes()
     assert raw.decode("utf-8").count("\n") == 2 and b"\r" not in raw
 
@@ -849,14 +845,11 @@ def test_train_and_compare_train_each_method_the_same_way(workdir, caplog):
     with caplog.at_level(logging.INFO, logger="morphseg.cli"):
         for method in ("rec-mdl", "seq-ml"):
             argv = ["train", "--method", method, "--model", str(workdir / method)]
-            if method == "rec-mdl":
-                argv += ["--cost-curve", str(workdir / "train_curve.csv")]
             caplog.clear()
             assert main(argv + common) == 0
             records[method] = [args[:4] for args in logged_args(caplog, "morphseg.cli")]
         caplog.clear()
-        argv = ["compare", "--test-tokens", "300", "--out-dir", str(out_dir),
-                "--cost-curve", str(workdir / "compare_curve.csv")]
+        argv = ["compare", "--test-tokens", "300", "--out-dir", str(out_dir)]
         assert main(argv + common) == 0
         logged = logged_args(caplog, "morphseg.cli")
         records["compare"] = [args[:4] for args in logged]
@@ -869,8 +862,6 @@ def test_train_and_compare_train_each_method_the_same_way(workdir, caplog):
         row = report.build_report(io.load_model(saved))
         expected.append((method, 900, row.codebook_morphs, row.total_cost_bits))
     assert records == {"rec-mdl": expected[:1], "seq-ml": expected[1:], "compare": expected}
-    curves = [(workdir / name).read_bytes() for name in ("train_curve.csv", "compare_curve.csv")]
-    assert curves[0] == curves[1]
 
 
 @pytest.mark.parametrize("method", ["rec-mdl", "seq-ml"])
@@ -965,20 +956,6 @@ def test_compare_rejects_tags_without_gold_before_reading(workdir, capsys):
     assert not (workdir / "run").exists()
 
 
-def test_compare_writes_the_cost_curve_into_the_out_dir_it_makes(workdir):
-    common = ["--corpus", str(workdir / "corpus.txt"), "--train-tokens", "900",
-              "--dream-interval", "400", "--iterations", "2"]
-    train_curve = workdir / "train_curve.csv"
-    argv = ["train", "--method", "rec-mdl", "--model", str(workdir / "m"),
-            "--cost-curve", str(train_curve)]
-    assert main(argv + common) == 0
-    curve = workdir / "run" / "curve.csv"
-    argv = ["compare", "--test-tokens", "300", "--out-dir", str(workdir / "run"),
-            "--cost-curve", str(curve)]
-    assert main(argv + common) == 0
-    assert curve.read_bytes() == train_curve.read_bytes()
-
-
 def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys, monkeypatch):
     def no_reading(*args, **kwargs):
         raise AssertionError("read input despite a missing output directory")
@@ -990,7 +967,6 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     monkeypatch.setattr(cli.io, "load_segmentation", no_reading)
     missing = workdir / "missing"
     curve = str(missing / "curve.csv")
-    below_out_dir = str(workdir / "run" / "sub" / "curve.csv")  # compare makes only run/
     train = ["train", "--method", "rec-mdl", "--corpus", str(workdir / "corpus.txt")]
     segment = ["segment", "--model", str(workdir / "m"), "--words", str(workdir / "words.txt")]
     seg = str(workdir / "seg.tsv")
@@ -1015,13 +991,12 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
     seg_again = str(taken / ".." / "seg.tsv")  # resolves to seg
     run_model = str(workdir / "run" / "rec_mdl.model")
     run_test_seg = str(workdir / "run" / "seq_ml.test_seg.tsv")
+    run_report = str(workdir / "run" / "report.json")
     metrics_again = str(taken / ".." / "metrics.json")  # resolves to metrics
     metrics_and_dump = evaluate + ["--out", str(metrics), "--dump-alignments"]
     for message, argv in [
         (missing_dir % str(missing / "m"), train + ["--model", str(missing / "m")]),
         (missing_dir % curve, train + ["--model", str(workdir / "m"), "--cost-curve", curve]),
-        (missing_dir % curve, _compare_argv(workdir, "--cost-curve", curve)),
-        (missing_dir % below_out_dir, _compare_argv(workdir, "--cost-curve", below_out_dir)),
         (missing_dir % str(missing / "s.tsv"), segment + ["--out", str(missing / "s.tsv")]),
         (missing_dir % str(missing / "m.json"), evaluate + ["--out", str(missing / "m.json")]),
         (
@@ -1036,7 +1011,6 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         # an empty path is the working directory, not stdout or an option not given
         (is_dir % "", train + ["--model", ""]),
         (is_dir % "", train + ["--model", str(workdir / "m"), "--cost-curve", ""]),
-        (is_dir % "", _compare_argv(workdir, "--cost-curve", "")),
         (is_dir % "", segment + ["--out", ""]),
         (is_dir % "", evaluate + ["--out", ""]),
         (is_dir % "", evaluate + ["--out", str(metrics), "--dump-alignments", ""]),
@@ -1055,7 +1029,6 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
             twice % str(workdir / "m"),
             train + ["--model", str(workdir / "m"), "--cost-curve", str(workdir / "m")],
         ),
-        (twice % run_model, _compare_argv(workdir, "--cost-curve", run_model)),
         (twice % str(metrics), metrics_and_dump + [str(metrics)]),
         (twice % metrics_again, metrics_and_dump + [metrics_again]),
         (also_input % corpus, train + ["--model", corpus]),
@@ -1067,11 +1040,10 @@ def test_output_files_in_missing_directories_fail_before_reading(workdir, capsys
         (also_input % tags, evaluate + ["--tags", tags, "--out", tags]),
         (also_input % counts, evaluate + ["--train-counts", counts, "--out", counts]),
         (also_input % counts, evaluate + ["--test-counts", counts, "--dump-alignments", counts]),
-        (also_input % corpus, _compare_argv(workdir, "--cost-curve", corpus)),
-        (also_input % gold, _compare_argv(workdir, "--gold", gold, "--cost-curve", gold)),
-        (also_input % tags, _compare_argv(workdir, "--gold", gold, "--tags", tags, "--cost-curve", tags)),
-        # one of compare's seven --out-dir files
+        # compare's inputs, each naming one of its seven --out-dir files
+        (also_input % run_model, _compare_argv(workdir, "--corpus", run_model)),
         (also_input % run_test_seg, _compare_argv(workdir, "--gold", run_test_seg)),
+        (also_input % run_report, _compare_argv(workdir, "--gold", gold, "--tags", run_report)),
     ]:
         assert main(argv) == 3
         assert message in capsys.readouterr().err
