@@ -10,7 +10,6 @@ then scores held-out words, charging unseen pairs a maximal distance.
 """
 
 import collections
-import dataclasses
 import logging
 import math
 
@@ -26,12 +25,10 @@ EM_ITERATIONS = 10
 EM_TOL = 1e-4
 
 
-@dataclasses.dataclass(frozen=True)
-class GoldEntry:
+class GoldEntry(collections.namedtuple("GoldEntry", "labels base_count")):
     """Reference labels of one word: base-form constituents then tags."""
 
-    labels: tuple
-    base_count: int
+    __slots__ = ()
 
 
 def parse_gold(lines, tag_filter=None, source="<gold>"):
@@ -59,17 +56,18 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
             raise GoldParseError("%s line %d: empty word or analysis" % (source, lineno))
         if word.split() != [word]:
             raise GoldParseError("%s line %d: whitespace in word %r" % (source, lineno, word))
-        bases = [b for b in fields[0].split("#") if b]
-        if not bases:
+        labels = fields[0].split("#")  # the bases, then the tags
+        if "" in labels:
+            labels = list(filter(None, labels))
+        base_count = len(labels)
+        if not base_count:
             raise GoldParseError("%s line %d: empty base form" % (source, lineno))
-        tags = fields[1:]
-        if tag_filter is not None:
-            tags = [t for t in tags if t in tag_filter]
-        labels = [shared.setdefault(label, label) for label in bases + tags]
+        labels += fields[1:] if tag_filter is None else filter(tag_filter.__contains__, fields[1:])
+        labels = tuple(map(shared.setdefault, labels, labels))
         if word in gold:
             _logger.warning("%s line %d: duplicate analysis for %r kept first", source, lineno, word)
             continue
-        gold[word] = GoldEntry(tuple(labels), len(bases))
+        gold[word] = GoldEntry(labels, base_count)
     return gold
 
 
@@ -90,12 +88,10 @@ def load_tag_filter(path):
     return tags
 
 
-@dataclasses.dataclass
-class DistanceTable:
-    """Pair distances in bits plus the charge for unseen pairs."""
+class DistanceTable(collections.namedtuple("DistanceTable", "distances max_distance")):
+    """Pair distances in bits, (morph, label) -> bits, plus the charge for unseen pairs."""
 
-    distances: dict  # (morph, label) -> bits
-    max_distance: float
+    __slots__ = ()
 
 
 def _align(costs):
@@ -260,13 +256,10 @@ def em_align(segmented, gold, token_counts):
     return table
 
 
-@dataclasses.dataclass
-class EvalResult:
-    alignment_distance_bits: float
-    unseen_pair_pct: float
-    aligned_pairs: int
-    unseen_pairs: int
-    alignments: dict  # word -> list of (morph index, label index)
+# alignments: word -> list of (morph index, label index)
+EvalResult = collections.namedtuple(
+    "EvalResult", "alignment_distance_bits unseen_pair_pct aligned_pairs unseen_pairs alignments"
+)
 
 
 def score_segmentation(segmented, gold, token_counts, table):

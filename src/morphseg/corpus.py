@@ -6,7 +6,7 @@ token is dropped.
 """
 
 import collections
-import dataclasses
+import functools
 import itertools
 import logging
 
@@ -23,20 +23,26 @@ ALPHABETS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
 class Corpus:
-    """An ordered token sequence plus type counts derived from it."""
+    """An ordered token sequence (a tuple) plus type counts derived from it."""
 
-    tokens: tuple
-    type_counts: dict
+    def __init__(self, tokens):
+        self.tokens = tokens
 
     @classmethod
     def from_tokens(cls, tokens):
-        tokens = tuple(tokens)
-        return cls(tokens, dict(collections.Counter(tokens)))
+        return cls(tuple(tokens))
+
+    @functools.cached_property
+    def type_counts(self):
+        """token -> number of occurrences, counted at the first read."""
+        return dict(collections.Counter(self.tokens))
 
     def __len__(self):
         return len(self.tokens)
+
+    def __eq__(self, other):
+        return self.tokens == other.tokens if other.__class__ is Corpus else NotImplemented
 
 
 def load_corpus(lines, alphabet=ALPHABETS["english"]):
@@ -55,7 +61,7 @@ def load_corpus(lines, alphabet=ALPHABETS["english"]):
             try:
                 token = kept[token]
             except KeyError:
-                token = kept[token] = token if set(token) <= alphabet else None
+                token = kept[token] = token if alphabet.issuperset(token) else None
             if token is None:
                 dropped += 1
             else:

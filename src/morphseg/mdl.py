@@ -16,7 +16,6 @@ priced by its exact cost change, read without changing the store; ties go
 to no split, then the leftmost.
 """
 
-import dataclasses
 import logging
 import math
 import random
@@ -38,13 +37,21 @@ def _xlog2x(x):
     return x * _log2(x) if x > 1 else 0.0
 
 
-@dataclasses.dataclass(slots=True)
 class Chunk:
     """A string in the hierarchy. split == 0 means leaf (a codebook morph)."""
 
-    text: str
-    count: int
-    split: int = 0
+    __slots__ = ("text", "count", "split")
+
+    def __init__(self, text, count, split=0):
+        self.text, self.count, self.split = text, count, split
+
+    def __eq__(self, other):
+        if other.__class__ is not Chunk:
+            return NotImplemented
+        return (self.text, self.count, self.split) == (other.text, other.count, other.split)
+
+    def __repr__(self):
+        return "Chunk(text=%r, count=%r, split=%r)" % (self.text, self.count, self.split)
 
 
 def cost_bits(counts):

@@ -8,7 +8,6 @@ cost, so random resegmentation of rejected words is the only mechanism
 that introduces new morphs into the lexicon.
 """
 
-import dataclasses
 import logging
 import math
 import random
@@ -24,32 +23,30 @@ ITERATIONS = 10  # Viterbi-EM iterations
 _P_ZERO = math.exp(-INTERVAL_MEAN)  # Poisson(INTERVAL_MEAN) chance of 0
 
 
-@dataclasses.dataclass
 class MorphStats:
     """Token-weighted morph counts plus per-type usage tallies.
 
     counts: morph -> number of morph tokens across the corpus, each positive.
-    type_usage: morph -> number of distinct word types using it.
+    type_usage: morph -> number of distinct word types using it; empty if not given.
     total: sum of counts, set from counts at construction.
     longest: length of the longest morph, set likewise.
     price: morph -> its cost log2(total / count) as an exact integer number of
         2**-104 bits, set likewise, so that sums of prices compare exactly.
     """
 
-    counts: dict
-    type_usage: dict = dataclasses.field(default_factory=dict)
-    total: int = dataclasses.field(init=False)
-    longest: int = dataclasses.field(init=False)
-    price: dict = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.total = total = sum(self.counts.values())
-        self.longest = max(map(len, self.counts), default=0)
+    def __init__(self, counts, type_usage=None):
+        self.counts = counts
+        self.type_usage = {} if type_usage is None else type_usage
+        self.total = total = sum(counts.values())
+        self.longest = max(map(len, counts), default=0)
         # every count c is at most total, their sum, so total / c is 1.0 or
         # at least 1 + 2**-52 and the float log2 is 0.0 or above 2**-52: a
         # whole multiple of 2**-104 with at most 53 significant bits, scaled
         # here without loss
-        self.price = {m: int(math.log2(total / c) * 2.0**104) for m, c in self.counts.items()}
+        self.price = {m: int(math.log2(total / c) * 2.0**104) for m, c in counts.items()}
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is MorphStats else NotImplemented
 
     @classmethod
     def from_segmentation(cls, segmentation, type_counts):

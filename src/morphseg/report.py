@@ -6,7 +6,7 @@ its own training objective (which has no codebook term), so its row is
 flagged with a footnote in formatted output.
 """
 
-import dataclasses
+import collections
 import json
 
 from . import io
@@ -19,22 +19,18 @@ ML_FOOTNOTE = (
 )
 
 
-@dataclasses.dataclass
-class MetricsReport:
-    method: str
-    total_cost_bits: float
-    corpus_cost_bits: float
-    codebook_cost_bits: float
-    codebook_morphs: int
-    relative_codebook_cost: float
-    alignment_distance_bits: float = None
-    unseen_pair_pct: float = None
-    cost_footnote: bool = False
+class MetricsReport(collections.namedtuple(
+    "MetricsReport",
+    "method total_cost_bits corpus_cost_bits codebook_cost_bits codebook_morphs"
+    " relative_codebook_cost alignment_distance_bits unseen_pair_pct cost_footnote",
+    defaults=(None, None, False),
+)):
+    __slots__ = ()
 
     def to_record(self):
         """JSON-ready dict of the fields, without the alignment fields of a
         model that was not evaluated."""
-        record = dataclasses.asdict(self)
+        record = self._asdict()
         if self.alignment_distance_bits is None:
             del record["alignment_distance_bits"], record["unseen_pair_pct"]
         return record

@@ -51,6 +51,16 @@ def test_parse_gold_without_filter_keeps_all_tags():
     assert gold["bigger"].labels == ("BIG", "A", "CMP")
 
 
+@pytest.mark.parametrize(
+    "tag_filter, labels",
+    [(None, ("CAT", "DOG", "N", "PL")), (AFFIX_FILTER, ("CAT", "DOG", "PL"))],
+)
+def test_parse_gold_drops_empty_base_pieces_between_and_after_bases(tag_filter, labels):
+    entry = parse_gold(["catdogs\tCAT##DOG# N PL"], tag_filter=tag_filter)["catdogs"]
+    assert entry.labels == labels
+    assert entry.base_count == 2
+
+
 def test_parse_gold_errors_carry_line_numbers():
     with pytest.raises(GoldParseError, match="line 2"):
         parse_gold(["cats\tCAT N PL", "no tab here"])
