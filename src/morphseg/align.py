@@ -14,7 +14,7 @@ import logging
 import math
 
 from . import io
-from .errors import GoldParseError, MorphsegError
+from .errors import MorphsegError
 
 _logger = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
 
     Line format: word, then tab, then base form (constituents joined by #)
     followed by space-separated tags. A word with whitespace in it is a
-    GoldParseError. Tags absent from tag_filter are dropped (tag_filter
+    MorphsegError. Tags absent from tag_filter are dropped (tag_filter
     None keeps everything).
     """
     gold = {}
@@ -47,21 +47,21 @@ def parse_gold(lines, tag_filter=None, source="<gold>"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise GoldParseError(
+            raise MorphsegError(
                 "%s line %d: expected word<TAB>analysis" % (source, lineno)
             )
         word, analysis = parts
         fields = analysis.split()
         if not word or not fields:
-            raise GoldParseError("%s line %d: empty word or analysis" % (source, lineno))
+            raise MorphsegError("%s line %d: empty word or analysis" % (source, lineno))
         if word.split() != [word]:
-            raise GoldParseError("%s line %d: whitespace in word %r" % (source, lineno, word))
+            raise MorphsegError("%s line %d: whitespace in word %r" % (source, lineno, word))
         labels = fields[0].split("#")  # the bases, then the tags
         if "" in labels:
             labels = list(filter(None, labels))
         base_count = len(labels)
         if not base_count:
-            raise GoldParseError("%s line %d: empty base form" % (source, lineno))
+            raise MorphsegError("%s line %d: empty base form" % (source, lineno))
         labels += fields[1:] if tag_filter is None else filter(tag_filter.__contains__, fields[1:])
         labels = tuple(map(shared.setdefault, labels, labels))
         if word in gold:
@@ -77,13 +77,13 @@ def load_gold(path, tag_filter=None):
 
 
 def load_tag_filter(path):
-    """Tags to keep, one per line; a line of two or more is a GoldParseError naming the line."""
+    """Tags to keep, one per line; a line of two or more is a MorphsegError naming the line."""
     tags = set()
     with io.reading(path) as f:
         for lineno, line in enumerate(f, start=1):
             fields = line.split()
             if len(fields) > 1:
-                raise GoldParseError("%s line %d: whitespace in tag %r" % (path, lineno, line.strip()))
+                raise MorphsegError("%s line %d: whitespace in tag %r" % (path, lineno, line.strip()))
             tags.update(fields)
     return tags
 

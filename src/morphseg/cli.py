@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import align, io, mdl, ml, report
-from .corpus import ALPHABETS, read_corpus, split_corpus
+from .corpus import ALPHABETS, check_split_sizes, read_corpus, split_corpus
 from .errors import MorphsegError, NotTrainedError, UnsegmentableError
 from .mdl import ChunkStore
 from .ml import MorphStats
@@ -160,6 +160,8 @@ def _train(method, args, corpus, curve=None):
 
 def cmd_train(args):
     alphabet = _checked_options(args)
+    if args.train_tokens is not None:
+        check_split_sizes(args.train_tokens)
     if args.cost_curve is not None and args.method == "seq-ml":
         raise ValueError("--cost-curve is the rec-mdl cost curve; seq-ml has none")
     _check_output_dirs([args.model, args.cost_curve], [args.corpus])
@@ -337,6 +339,7 @@ def _compare_method(method, args, train, test, gold, files):
 
 def cmd_compare(args):
     alphabet = _checked_options(args)
+    check_split_sizes(args.train_tokens, args.test_tokens)
     if args.gold is None and args.tags is not None:
         raise ValueError("--tags applies to the alignment, which needs --gold")
     files, report_path = ({}, None) if args.out_dir is None else _compare_outputs(Path(args.out_dir))

@@ -11,7 +11,7 @@ import itertools
 import logging
 
 from . import io
-from .errors import EmptyCorpusError, CorpusSizeError
+from .errors import MorphsegError
 
 _logger = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ def load_corpus(lines, alphabet=ALPHABETS["english"]):
     """Tokenize an iterable of text lines, each lowercased, into a Corpus of
     the tokens whose characters all belong to alphabet.
 
-    Raises EmptyCorpusError if no token survives filtering.
+    Raises MorphsegError if no token survives filtering.
     """
     # type -> the one string its tokens share, or None if the type is dropped;
     # the alphabet check runs once per type
@@ -69,7 +69,7 @@ def load_corpus(lines, alphabet=ALPHABETS["english"]):
     if dropped:
         _logger.info("dropped %d tokens with out-of-alphabet characters", dropped)
     if not tokens:
-        raise EmptyCorpusError("no tokens left after preprocessing")
+        raise MorphsegError("no tokens left after preprocessing")
     return Corpus.from_tokens(tokens)
 
 
@@ -79,17 +79,22 @@ def read_corpus(path, alphabet=ALPHABETS["english"]):
         return load_corpus(f, alphabet)
 
 
+def check_split_sizes(*sizes):
+    """Raise ValueError if a split size is below 1."""
+    if any(n < 1 for n in sizes):
+        raise ValueError(
+            "each split must contain at least one token; sizes were %s" % ", ".join(map(str, sizes))
+        )
+
+
 def split_corpus(corpus, *sizes):
     """One Corpus per size, consecutive slices taken in order from the start of corpus.
 
-    Raises EmptyCorpusError for a size below 1, then CorpusSizeError when the
+    Raises ValueError for a size below 1, then MorphsegError when the
     sizes add up to more tokens than the corpus has.
     """
-    if any(n < 1 for n in sizes):
-        raise EmptyCorpusError(
-            "each split must contain at least one token; sizes were %s" % ", ".join(map(str, sizes))
-        )
+    check_split_sizes(*sizes)
     bounds = [0, *itertools.accumulate(sizes)]
     if bounds[-1] > len(corpus.tokens):
-        raise CorpusSizeError("corpus has %d tokens, need %d" % (len(corpus.tokens), bounds[-1]))
+        raise MorphsegError("corpus has %d tokens, need %d" % (len(corpus.tokens), bounds[-1]))
     return [Corpus.from_tokens(corpus.tokens[a:b]) for a, b in zip(bounds, bounds[1:])]

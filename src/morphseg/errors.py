@@ -5,25 +5,9 @@ class MorphsegError(Exception):
     """Base class for all errors raised by morphseg."""
 
 
-class EmptyCorpusError(MorphsegError):
-    """Preprocessing or splitting produced a corpus with no tokens."""
-
-
-class CorpusSizeError(MorphsegError):
-    """A requested train/test split needs more tokens than the corpus has."""
-
-
 class NotTrainedError(MorphsegError):
     """A model was asked about a word it has never seen."""
 
 
 class UnsegmentableError(MorphsegError):
     """No sequence of known morphs concatenates to the word."""
-
-
-class GoldParseError(MorphsegError):
-    """A reference-analysis file line could not be parsed."""
-
-
-class ModelFormatError(MorphsegError):
-    """A persisted model file has a bad header, version, or record."""

@@ -17,7 +17,7 @@ import contextlib
 import itertools
 import sys
 
-from .errors import ModelFormatError, MorphsegError
+from .errors import MorphsegError
 from .mdl import CHAR_BITS, ChunkStore, Chunk, check_codable
 from .ml import MorphStats
 
@@ -84,28 +84,28 @@ def _load(path, fmt, n_fields, what, parse, params=lambda table: []):
     if lines[-1] == "":
         lines.pop()
     if not lines:
-        raise ModelFormatError("%s: empty file" % (path,))
+        raise MorphsegError("%s: empty file" % (path,))
     head = lines[0].split(" ")
     if head[0] != fmt:
-        raise ModelFormatError("%s: expected a %s file, found %r" % (path, fmt, lines[0]))
+        raise MorphsegError("%s: expected a %s file, found %r" % (path, fmt, lines[0]))
     if len(head) < 2 or head[1] != VERSION:
-        raise ModelFormatError("%s: unsupported %s version %r" % (path, fmt, lines[0]))
+        raise MorphsegError("%s: unsupported %s version %r" % (path, fmt, lines[0]))
     table = {}
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != n_fields:
-            raise ModelFormatError("%s line %d: expected %d fields" % (path, lineno, n_fields))
+            raise MorphsegError("%s line %d: expected %d fields" % (path, lineno, n_fields))
         key, value = parse(path, lineno, *fields)
         if key.split() != [key]:  # every writer's keys are str.split() tokens
-            raise ModelFormatError(
+            raise MorphsegError(
                 "%s line %d: invalid record: %s %r is not one word" % (path, lineno, what, key)
             )
         if key in table:
-            raise ModelFormatError("%s line %d: duplicate %s %r" % (path, lineno, what, key))
+            raise MorphsegError("%s line %d: duplicate %s %r" % (path, lineno, what, key))
         table[key] = value
     expected = params(table)
     if head[2:] != expected:
-        raise ModelFormatError("%s: header parameters %r, expected %r" % (path, head[2:], expected))
+        raise MorphsegError("%s: header parameters %r, expected %r" % (path, head[2:], expected))
     return table
 
 
@@ -121,9 +121,9 @@ def _count(path, lineno, key, count_s):
     try:
         count = _int(count_s)
     except ValueError:
-        raise ModelFormatError("%s line %d: non-integer count" % (path, lineno)) from None
+        raise MorphsegError("%s line %d: non-integer count" % (path, lineno)) from None
     if count < 1:
-        raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
+        raise MorphsegError("%s line %d: invalid record" % (path, lineno))
     return key, count
 
 
@@ -140,7 +140,7 @@ def load_model(path):
         return load_mdl_model(path)
     if kind == ML_FORMAT:
         return load_ml_model(path)
-    raise ModelFormatError("%s: not a model file (header %r)" % (path, kind))
+    raise MorphsegError("%s: not a model file (header %r)" % (path, kind))
 
 
 def save_model(model, path):
@@ -168,19 +168,19 @@ def load_mdl_model(path):
         try:
             split, count = _int(split_s), _int(count_s)
         except ValueError:
-            raise ModelFormatError("%s line %d: non-integer field" % (path, lineno)) from None
+            raise MorphsegError("%s line %d: non-integer field" % (path, lineno)) from None
         if count < 1 or not 0 <= split < len(text):
-            raise ModelFormatError("%s line %d: invalid record" % (path, lineno))
+            raise MorphsegError("%s line %d: invalid record" % (path, lineno))
         return text, Chunk(text, count, split)
 
     chunks = _load(path, MDL_FORMAT, 3, "chunk", parse, lambda chunks: MDL_PARAMS)
     if not chunks:
-        raise ModelFormatError("%s: no chunk records" % (path,))
+        raise MorphsegError("%s: no chunk records" % (path,))
     try:
         check_codable("model", chunks)
         return ChunkStore.from_chunks(chunks)
     except (MorphsegError, ValueError) as exc:
-        raise ModelFormatError("%s: %s" % (path, exc)) from None
+        raise MorphsegError("%s: %s" % (path, exc)) from None
 
 
 def _ml_params(counts):
@@ -197,11 +197,11 @@ def save_ml_model(stats, path):
 def load_ml_model(path):
     counts = _load(path, ML_FORMAT, 2, "morph", _count, _ml_params)
     if not counts:
-        raise ModelFormatError("%s: no morph records" % (path,))
+        raise MorphsegError("%s: no morph records" % (path,))
     try:
         check_codable("model", counts)
     except ValueError as exc:
-        raise ModelFormatError("%s: %s" % (path, exc)) from None
+        raise MorphsegError("%s: %s" % (path, exc)) from None
     # per-type usage is not part of the interchange format; loaded models
     # serve segmentation, training rebuilds usage from scratch
     return MorphStats(counts)
@@ -219,9 +219,9 @@ def load_segmentation(path):
     def parse(path, lineno, word, morph_field):
         morphs = morph_field.split(" ")
         if not all(morphs):
-            raise ModelFormatError("%s line %d: empty word or morph" % (path, lineno))
+            raise MorphsegError("%s line %d: empty word or morph" % (path, lineno))
         if "".join(morphs) != word:
-            raise ModelFormatError(
+            raise MorphsegError(
                 "%s line %d: morphs do not concatenate to %r" % (path, lineno, word)
             )
         return word, morphs

@@ -6,6 +6,7 @@ word type. No licensed corpora ship with the package, so experiments and
 the acceptance suite use this generator.
 """
 
+import itertools
 import random
 
 NOUNS = [
@@ -73,17 +74,18 @@ class SyntheticEnglish:
         self._pos_pool = (
             [("N", s) for s in NOUNS] + [("V", s) for s in VERBS] + [("A", s) for s in ADJECTIVES]
         )
-        self._pool_weights = (
+        # cumulative, so that rng.choices does not re-add the weights on every draw
+        self._pool_cum_weights = list(itertools.accumulate(
             _zipf_weights(len(NOUNS)) + _zipf_weights(len(VERBS)) + _zipf_weights(len(ADJECTIVES))
-        )
+        ))
 
     def draw_token(self):
         rng = self.rng
-        pos, stem = rng.choices(self._pos_pool, weights=self._pool_weights)[0]
+        pos, stem = rng.choices(self._pos_pool, cum_weights=self._pool_cum_weights)[0]
         bases = [stem]
         if pos == "N" and rng.random() < COMPOUND_RATE:
             _, second = rng.choices(
-                self._pos_pool[: len(NOUNS)], weights=self._pool_weights[: len(NOUNS)]
+                self._pos_pool[: len(NOUNS)], cum_weights=self._pool_cum_weights[: len(NOUNS)]
             )[0]
             bases.append(second)
         forms, weights = POS_FORMS[pos]

@@ -21,7 +21,7 @@ from morphseg.align import (
     parse_gold,
     score_segmentation,
 )
-from morphseg.errors import GoldParseError, MorphsegError
+from morphseg.errors import MorphsegError
 
 AFFIX_FILTER = {"PL", "PTV", "GEN", "SG3", "CMP", "<DER:ly>"}
 
@@ -62,15 +62,15 @@ def test_parse_gold_drops_empty_base_pieces_between_and_after_bases(tag_filter, 
 
 
 def test_parse_gold_errors_carry_line_numbers():
-    with pytest.raises(GoldParseError, match="line 2"):
+    with pytest.raises(MorphsegError, match="line 2"):
         parse_gold(["cats\tCAT N PL", "no tab here"])
-    with pytest.raises(GoldParseError, match="line 1"):
+    with pytest.raises(MorphsegError, match="line 1"):
         parse_gold(["cats\t"])
-    with pytest.raises(GoldParseError, match="line 1"):
+    with pytest.raises(MorphsegError, match="line 1"):
         parse_gold(["cats\t# N"])
     for word in ("cat s", " dogs", "dogs ", "do\u00a0gs"):
         message = "<gold> line 2: whitespace in word %r" % word
-        with pytest.raises(GoldParseError, match=re.escape(message)):
+        with pytest.raises(MorphsegError, match=re.escape(message)):
             parse_gold(["cats\tCAT N PL", word + "\tDOG PL"])
 
 
@@ -79,7 +79,7 @@ def test_load_tag_filter_keeps_one_tag_per_line(tmp_path):
     path.write_text(" PL \n\nGEN\t\n", encoding="utf-8")
     assert load_tag_filter(path) == {"PL", "GEN"}
     path.write_text("PL\n\nPL GEN\n", encoding="utf-8")
-    with pytest.raises(GoldParseError, match="line 3: whitespace in tag 'PL GEN'"):
+    with pytest.raises(MorphsegError, match="line 3: whitespace in tag 'PL GEN'"):
         load_tag_filter(path)
 
 

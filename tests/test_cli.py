@@ -146,19 +146,6 @@ def test_train_alphabet_filtering_everything_is_a_data_error(workdir):
     assert code == 3
 
 
-def test_train_zero_token_budget_is_a_data_error(workdir):
-    code = main(
-        [
-            "train", "--method", "rec-mdl",
-            "--corpus", str(workdir / "corpus.txt"),
-            "--model", str(workdir / "m"),
-            "--train-tokens", "0",
-        ]
-    )
-    assert code == 3
-    assert not (workdir / "m").exists()
-
-
 @pytest.mark.parametrize(
     "method, option, value",
     [
@@ -166,6 +153,7 @@ def test_train_zero_token_budget_is_a_data_error(workdir):
         ("seq-ml", "--cost-curve", "curve.csv"),  # the curve is rec-mdl's
         ("rec-mdl", "--dream-interval", "-1"),
         pytest.param("rec-mdl", "--alphabet", ALPHABET_33, id="rec-mdl---alphabet-33-characters"),
+        ("rec-mdl", "--train-tokens", "0"),
     ],
 )
 def test_train_checks_options_before_reading_the_corpus(workdir, method, option, value):
@@ -935,6 +923,16 @@ def _compare_argv(workdir, *extra):
         "--test-tokens", "100",
         "--out-dir", str(workdir / "run"),
     ] + list(extra)
+
+
+@pytest.mark.parametrize("train_tokens, test_tokens", [("0", "10"), ("10", "0"), ("-1", "10")])
+def test_compare_checks_split_sizes_before_reading_the_corpus(workdir, capsys, train_tokens, test_tokens):
+    argv = ["compare", "--corpus", str(workdir / "missing.txt"), "--train-tokens", train_tokens,
+            "--test-tokens", test_tokens, "--out-dir", str(workdir / "run")]
+    assert main(argv) == 2  # an exit 3 would mean the corpus was read
+    err = capsys.readouterr().err
+    assert "each split must contain at least one token; sizes were %s, %s" % (train_tokens, test_tokens) in err
+    assert not (workdir / "run").exists()
 
 
 def test_compare_checks_seq_ml_options_before_training(workdir, monkeypatch):

@@ -55,3 +55,17 @@ def test_every_name_a_module_imports_is_used_in_it():
                     if name not in used:
                         unused.append("%s line %d: %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+def test_every_error_type_is_caught_by_name_somewhere():
+    # a subclass of MorphsegError that no except clause names is told apart
+    # from it by nothing: the command line maps every one to exit code 3
+    tree = ast.parse((SRC / "morphseg" / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in sorted((SRC / "morphseg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                              if isinstance(n, (ast.Name, ast.Attribute)))
+    assert sorted(defined - caught) == []

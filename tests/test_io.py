@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import curve_rows
 from morphseg import io
-from morphseg.errors import ModelFormatError, MorphsegError
+from morphseg.errors import MorphsegError
 from morphseg.mdl import ChunkStore, train_online
 from morphseg.ml import MorphStats
 
@@ -73,21 +73,21 @@ def _params_refused(found, expected):
 def test_mdl_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v0 char_bits=5", "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match="version"):
+    with pytest.raises(MorphsegError, match="version"):
         io.load_mdl_model(path)
 
 
 def test_mdl_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-ml v1 total=1", "a\t1"])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(MorphsegError):
         io.load_mdl_model(path)
 
 
 def test_mdl_load_rejects_empty_file(tmp_path):
     path = tmp_path / "m.model"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(MorphsegError):
         io.load_mdl_model(path)
 
 
@@ -104,21 +104,21 @@ def test_mdl_load_rejects_empty_file(tmp_path):
 def test_mdl_load_rejects_bad_records_with_line_numbers(tmp_path, record):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=5", record])
-    with pytest.raises(ModelFormatError, match="line 2"):
+    with pytest.raises(MorphsegError, match="line 2"):
         io.load_mdl_model(path)
 
 
 def test_mdl_load_rejects_duplicates(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=5", "a\t0\t1", "a\t0\t2"])
-    with pytest.raises(ModelFormatError, match="duplicate"):
+    with pytest.raises(MorphsegError, match="duplicate"):
         io.load_mdl_model(path)
 
 
 def test_mdl_load_rejects_missing_part(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=5", "ab\t1\t1", "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match="missing part"):
+    with pytest.raises(MorphsegError, match="missing part"):
         io.load_mdl_model(path)
 
 
@@ -129,7 +129,7 @@ def test_mdl_load_rejects_impossible_flow(tmp_path):
         path,
         ["morphseg-mdl v1 char_bits=5", "a\t0\t1", "ab\t1\t2", "b\t0\t2"],
     )
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(MorphsegError):
         io.load_mdl_model(path)
 
 
@@ -138,7 +138,7 @@ def test_mdl_load_requires_char_bits(tmp_path):
     path = tmp_path / "m.model"
     for params in [[], ["char_bits=4"], ["char_bits=6"], ["char_bits=1000000000"], ["char_bits"]]:
         _write_lines(path, [" ".join(["morphseg-mdl", "v1", *params]), "a\t0\t1"])
-        with pytest.raises(ModelFormatError, match=_params_refused(params, ["char_bits=5"])):
+        with pytest.raises(MorphsegError, match=_params_refused(params, ["char_bits=5"])):
             io.load_mdl_model(path)
 
 
@@ -146,7 +146,7 @@ def test_mdl_load_requires_char_bits(tmp_path):
 def test_mdl_load_rejects_non_positive_char_bits(tmp_path, char_bits):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=" + char_bits, "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match="char_bits"):
+    with pytest.raises(MorphsegError, match="char_bits"):
         io.load_mdl_model(path)
 
 
@@ -176,13 +176,13 @@ def test_mdl_load_rejects_characters_char_bits_cannot_code(tmp_path, char_bits, 
     _write_lines(path, ["morphseg-mdl v1 char_bits=" + char_bits] + [c + "\t0\t1" for c in chunks])
     if char_bits != "5":
         refused = _params_refused(["char_bits=" + char_bits], ["char_bits=5"])
-        with pytest.raises(ModelFormatError, match=refused):
+        with pytest.raises(MorphsegError, match=refused):
             io.load_mdl_model(path)
     elif len(chunks) <= 32:
         assert sorted(io.load_mdl_model(path).chunks) == chunks
     else:
         message = "m.model: model has 33 characters; 5 bits per character can code only 32"
-        with pytest.raises(ModelFormatError, match=message):
+        with pytest.raises(MorphsegError, match=message):
             io.load_mdl_model(path)
 
 
@@ -244,7 +244,7 @@ def test_ml_load_checks_total(tmp_path):
     # the counts sum to 5, the total save_ml_model writes for them
     for params in [["total=9"], [], ["total=5.0"]]:
         _write_lines(path, [" ".join(["morphseg-ml", "v1", *params]), "a\t3", "b\t2"])
-        with pytest.raises(ModelFormatError, match=_params_refused(params, ["total=5"])):
+        with pytest.raises(MorphsegError, match=_params_refused(params, ["total=5"])):
             io.load_ml_model(path)
 
 
@@ -262,17 +262,17 @@ def test_loaders_refuse_a_key_that_is_not_one_word(tmp_path, load, lines, what):
     # every writer's keys are str.split() tokens: non-empty, without whitespace
     path = tmp_path / "f"
     _write_lines(path, lines)
-    with pytest.raises(ModelFormatError, match=re.escape("f line 2: invalid record: %s is not one word" % what)):
+    with pytest.raises(MorphsegError, match=re.escape("f line 2: invalid record: %s is not one word" % what)):
         load(path)
 
 
 def test_ml_load_rejects_bad_records(tmp_path):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-ml v1 total=1", "a\tone"])
-    with pytest.raises(ModelFormatError, match="line 2"):
+    with pytest.raises(MorphsegError, match="line 2"):
         io.load_ml_model(path)
     _write_lines(path, ["morphseg-ml v1 total=2", "a\t1", "a\t1"])
-    with pytest.raises(ModelFormatError, match="duplicate"):
+    with pytest.raises(MorphsegError, match="duplicate"):
         io.load_ml_model(path)
 
 
@@ -292,17 +292,17 @@ def test_segmentation_roundtrip(tmp_path):
 def test_segmentation_rejects_mismatched_morphs(tmp_path):
     path = tmp_path / "s.tsv"
     _write_lines(path, ["morphseg-seg v1", "cats\tca t"])
-    with pytest.raises(ModelFormatError, match="concatenate"):
+    with pytest.raises(MorphsegError, match="concatenate"):
         io.load_segmentation(path)
 
 
 def test_segmentation_rejects_empty_morphs_and_duplicates(tmp_path):
     path = tmp_path / "s.tsv"
     _write_lines(path, ["morphseg-seg v1", "cats\tcats "])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(MorphsegError):
         io.load_segmentation(path)
     _write_lines(path, ["morphseg-seg v1", "cats\tcats", "cats\tcat s"])
-    with pytest.raises(ModelFormatError, match="duplicate"):
+    with pytest.raises(MorphsegError, match="duplicate"):
         io.load_segmentation(path)
 
 
@@ -349,7 +349,7 @@ def test_word_counts_roundtrip(tmp_path):
 def test_word_counts_rejects_bad_count(tmp_path):
     path = tmp_path / "c.tsv"
     _write_lines(path, ["morphseg-counts v1", "cats\tmany"])
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(MorphsegError):
         io.load_word_counts(path)
 
 
@@ -365,7 +365,7 @@ def test_word_counts_rejects_bad_count(tmp_path):
 def test_word_counts_rejects_invalid_records(tmp_path, records, message):
     path = tmp_path / "c.tsv"
     _write_lines(path, ["morphseg-counts v1"] + records)
-    with pytest.raises(ModelFormatError, match=message):
+    with pytest.raises(MorphsegError, match=message):
         io.load_word_counts(path)
 
 
@@ -398,7 +398,7 @@ _NOT_D_FORMS = ["1_000", "+6", " 7", "7 ", "07", "-0", "\u0665"]
 def test_loaders_read_integer_fields_only_as_save_writes_them(tmp_path, load, lines, message, form):
     path = tmp_path / "f"
     _write_lines(path, [lines[0], lines[1] % form])
-    with pytest.raises(ModelFormatError, match=message):
+    with pytest.raises(MorphsegError, match=message):
         load(path)
 
 
@@ -406,10 +406,10 @@ def test_loaders_read_integer_fields_only_as_save_writes_them(tmp_path, load, li
 def test_model_headers_read_integers_only_as_save_writes_them(tmp_path, value):
     path = tmp_path / "m.model"
     _write_lines(path, ["morphseg-mdl v1 char_bits=" + value, "a\t0\t1"])
-    with pytest.raises(ModelFormatError, match=_params_refused(["char_bits=" + value], ["char_bits=5"])):
+    with pytest.raises(MorphsegError, match=_params_refused(["char_bits=" + value], ["char_bits=5"])):
         io.load_mdl_model(path)
     _write_lines(path, ["morphseg-ml v1 total=" + value, "a\t5"])
-    with pytest.raises(ModelFormatError, match=_params_refused(["total=" + value], ["total=5"])):
+    with pytest.raises(MorphsegError, match=_params_refused(["total=" + value], ["total=5"])):
         io.load_ml_model(path)
 
 
@@ -424,7 +424,7 @@ def test_model_headers_read_integers_only_as_save_writes_them(tmp_path, value):
 def test_model_headers_reject_a_repeated_key(tmp_path, lines, load, expected):
     path = tmp_path / "m.model"
     _write_lines(path, lines)
-    with pytest.raises(ModelFormatError, match=_params_refused(lines[0].split(" ")[2:], expected)):
+    with pytest.raises(MorphsegError, match=_params_refused(lines[0].split(" ")[2:], expected)):
         load(path)
 
 
@@ -492,7 +492,7 @@ def test_load_model_rejects_files_that_are_not_models(tmp_path):
     empty = tmp_path / "empty.model"
     empty.write_text("", encoding="utf-8")
     for path, header in ((seg_path, "morphseg-seg"), (empty, "")):
-        with pytest.raises(ModelFormatError, match="not a model file \\(header %r\\)" % header):
+        with pytest.raises(MorphsegError, match="not a model file \\(header %r\\)" % header):
             io.load_model(path)
 
 
@@ -549,7 +549,7 @@ def test_headed_files_load_only_under_the_header_their_writer_writes(tmp_path, t
         return
     path.write_text(header + "\n" + records, encoding="utf-8")
     refused = _params_refused(header.split(" ")[2:], written.split(" ")[2:])
-    with pytest.raises(ModelFormatError, match=refused):
+    with pytest.raises(MorphsegError, match=refused):
         load(path)
 
 
